@@ -48,15 +48,9 @@ type block = {
   mutable last_write : float;
   mutable last_ref : float;
   mutable dirty_high : int;  (* writeback extent, from the block start *)
+  mutable prev : block;  (* recency ring: towards least recently used *)
+  mutable next : block;  (* towards most recently used *)
 }
-
-module Key = struct
-  type t = int * int
-
-  let equal (a1, a2) (b1, b2) = a1 = b1 && a2 = b2
-
-  let hash = Hashtbl.hash
-end
 
 (* Process-wide cache metrics, aggregated over every block cache in the
    process (client and server caches alike). *)
@@ -79,8 +73,6 @@ let m_writeback_bytes = Dfs_obs.Metrics.counter "sim.cache.writeback_bytes"
 let m_evictions = Dfs_obs.Metrics.counter "sim.cache.evictions"
 
 let m_dirty_age = Dfs_obs.Metrics.histogram "sim.cache.dirty_age_s"
-
-module L = Dfs_util.Lru.Make (Key)
 
 type class_stats = {
   mutable read_ops : int;
@@ -144,7 +136,10 @@ let replace_index = function Replace_for_block -> 0 | Replace_to_vm -> 1
 type t = {
   cfg : config;
   backend : backend;
-  lru : block L.t;
+  head : block;
+      (* Sentinel of the circular recency ring, owned by this cache:
+         [head.next] is the LRU victim, [head.prev] the most recent. *)
+  mutable resident : int;  (* blocks on the ring *)
   files : (int, (int, block) Hashtbl.t) Hashtbl.t;
   dirty_files : (int, dirty_info) Hashtbl.t;
   mutable capacity : int;
@@ -159,10 +154,26 @@ let create ?(config = default_config) backend =
      same (mutable) [Stats.t] values, so both views always agree. *)
   let cleaning_stats = Array.init 5 (fun _ -> Dfs_util.Stats.create ()) in
   let replacement_stats = Array.init 2 (fun _ -> Dfs_util.Stats.create ()) in
+  (* The sentinel is told apart by identity; its fields are never read. *)
+  let no_file = File.of_int 0 in
+  let rec head =
+    {
+      b_file = no_file;
+      b_index = -1;
+      dirty = false;
+      dirtied_at = 0.0;
+      last_write = 0.0;
+      last_ref = 0.0;
+      dirty_high = 0;
+      prev = head;
+      next = head;
+    }
+  in
   {
     cfg = config;
     backend;
-    lru = L.create ();
+    head;
+    resident = 0;
     files = Hashtbl.create 256;
     dirty_files = Hashtbl.create 64;
     capacity = max 1 config.capacity_blocks;
@@ -192,7 +203,7 @@ let config t = t.cfg
 
 let capacity t = t.capacity
 
-let size t = L.length t.lru
+let size t = t.resident
 
 let resident_bytes t = size t * t.cfg.block_size
 
@@ -206,18 +217,32 @@ let dirty_blocks t = t.dirty_count
    writeback, so this must only run once the cache will see no further
    reads or writes. *)
 let drop_contents t =
-  L.clear t.lru;
+  t.head.prev <- t.head;
+  t.head.next <- t.head;
+  t.resident <- 0;
   Hashtbl.reset t.files;
   Hashtbl.reset t.dirty_files;
   t.dirty_count <- 0
 
 (* -- internal bookkeeping ------------------------------------------------ *)
 
+(* The recency ring: O(1) splices, no allocation. *)
+let unlink b =
+  b.prev.next <- b.next;
+  b.next.prev <- b.prev
+
+let push_mru t b =
+  let head = t.head in
+  b.prev <- head.prev;
+  b.next <- head;
+  head.prev.next <- b;
+  head.prev <- b
+
 let file_tbl t file =
   let fid = File.to_int file in
-  match Hashtbl.find_opt t.files fid with
-  | Some tbl -> tbl
-  | None ->
+  match Hashtbl.find t.files fid with
+  | tbl -> tbl
+  | exception Not_found ->
     let tbl = Hashtbl.create 16 in
     Hashtbl.replace t.files fid tbl;
     tbl
@@ -227,11 +252,11 @@ let note_dirty t b =
     b.dirty <- true;
     t.dirty_count <- t.dirty_count + 1;
     let fid = File.to_int b.b_file in
-    match Hashtbl.find_opt t.dirty_files fid with
-    | Some info ->
+    match Hashtbl.find t.dirty_files fid with
+    | info ->
       info.dn <- info.dn + 1;
       if b.dirtied_at < info.earliest then info.earliest <- b.dirtied_at
-    | None ->
+    | exception Not_found ->
       Hashtbl.replace t.dirty_files fid { dn = 1; earliest = b.dirtied_at }
   end
 
@@ -241,10 +266,9 @@ let note_clean t b =
     b.dirty_high <- 0;
     t.dirty_count <- t.dirty_count - 1;
     let fid = File.to_int b.b_file in
-    match Hashtbl.find_opt t.dirty_files fid with
-    | Some info when info.dn > 1 -> info.dn <- info.dn - 1
-    | Some _ -> Hashtbl.remove t.dirty_files fid
-    | None -> assert false
+    let info = Hashtbl.find t.dirty_files fid in
+    if info.dn > 1 then info.dn <- info.dn - 1
+    else Hashtbl.remove t.dirty_files fid
   end
 
 let cleaning_stat t reason = t.cleaning_stats.(clean_index reason)
@@ -272,6 +296,13 @@ let clean_block t ~now b ~reason =
     note_clean t b
   end
 
+(* Remove [b] from its file's block table, and the table once empty. *)
+let unindex t b =
+  let fid = File.to_int b.b_file in
+  let tbl = Hashtbl.find t.files fid in
+  Hashtbl.remove tbl b.b_index;
+  if Hashtbl.length tbl = 0 then Hashtbl.remove t.files fid
+
 let drop_block t b ~discard_dirty =
   if b.dirty then begin
     if discard_dirty then
@@ -279,18 +310,16 @@ let drop_block t b ~discard_dirty =
         t.stats.dirty_bytes_discarded + b.dirty_high;
     note_clean t b
   end;
-  let fid = File.to_int b.b_file in
-  (match Hashtbl.find_opt t.files fid with
-  | Some tbl ->
-    Hashtbl.remove tbl b.b_index;
-    if Hashtbl.length tbl = 0 then Hashtbl.remove t.files fid
-  | None -> assert false);
-  ignore (L.remove t.lru (fid, b.b_index))
+  unindex t b;
+  unlink b;
+  t.resident <- t.resident - 1
 
 let evict_one t ~now ~reason =
-  match L.pop_lru t.lru with
-  | None -> false
-  | Some (_, b) ->
+  let b = t.head.next in
+  if b == t.head then false
+  else begin
+    unlink b;
+    t.resident <- t.resident - 1;
     (* A dirty victim must reach the server before its page is reused. *)
     (match reason with
     | Replace_to_vm -> clean_block t ~now b ~reason:Clean_vm
@@ -305,18 +334,14 @@ let evict_one t ~now ~reason =
             ("idle_s", Dfs_obs.Json.Float (now -. b.last_ref));
           ]
         ();
-    let fid = File.to_int b.b_file in
-    (match Hashtbl.find_opt t.files fid with
-    | Some tbl ->
-      Hashtbl.remove tbl b.b_index;
-      if Hashtbl.length tbl = 0 then Hashtbl.remove t.files fid
-    | None -> assert false);
+    unindex t b;
     true
+  end
 
 let insert_block t ~now ~file ~index =
-  while L.length t.lru >= t.capacity do
+  while t.resident >= t.capacity do
     if not (evict_one t ~now ~reason:Replace_for_block) then
-      (* capacity is >= 1 and the LRU is non-empty whenever size >= capacity *)
+      (* capacity is >= 1 and the ring is non-empty whenever size >= capacity *)
       assert false
   done;
   let b =
@@ -328,70 +353,80 @@ let insert_block t ~now ~file ~index =
       last_write = now;
       last_ref = now;
       dirty_high = 0;
+      prev = t.head;
+      next = t.head;
     }
   in
   Hashtbl.replace (file_tbl t file) index b;
-  L.add t.lru (File.to_int file, index) b;
+  push_mru t b;
+  t.resident <- t.resident + 1;
   b
 
+(* The resident block, or [t.head] when there is none: a miss allocates
+   no option. *)
 let find_block t ~file ~index =
-  match Hashtbl.find_opt t.files (File.to_int file) with
-  | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl index
+  match Hashtbl.find (Hashtbl.find t.files (File.to_int file)) index with
+  | b -> b
+  | exception Not_found -> t.head
 
 let touch t b ~now =
   b.last_ref <- now;
-  ignore (L.use t.lru (File.to_int b.b_file, b.b_index))
+  if t.head.prev != b then begin
+    unlink b;
+    push_mru t b
+  end
 
 (* -- stats helpers ------------------------------------------------------- *)
 
-let class_targets t ~cls ~migrated =
-  let base =
-    match cls with Class_file -> t.stats.file | Class_paging -> t.stats.paging
-  in
-  if migrated then [ t.stats.all; base; t.stats.migrated ]
-  else [ t.stats.all; base ]
+(* Every request counts in [all] and in its class; requests from migrated
+   processes also count in [migrated].  [f] is a closed top-level function,
+   so a call allocates nothing. *)
+let count t ~cls ~migrated f n =
+  f t.stats.all n;
+  f (match cls with Class_file -> t.stats.file | Class_paging -> t.stats.paging) n;
+  if migrated then f t.stats.migrated n
+
+let read_op s wanted =
+  s.read_ops <- s.read_ops + 1;
+  s.bytes_read <- s.bytes_read + wanted
+
+let read_hit s _ = s.read_hits <- s.read_hits + 1
+
+let read_miss s avail =
+  s.read_misses <- s.read_misses + 1;
+  s.bytes_fetched <- s.bytes_fetched + avail
+
+let write_op s written =
+  s.write_ops <- s.write_ops + 1;
+  s.bytes_written <- s.bytes_written + written
+
+let write_fetch s existing =
+  s.write_fetches <- s.write_fetches + 1;
+  s.write_fetch_bytes <- s.write_fetch_bytes + existing
 
 (* -- data path ----------------------------------------------------------- *)
 
-(* Iterate the blocks overlapped by [off, off+len), calling
-   [f ~index ~lo ~hi] with the within-block byte range. *)
-let iter_blocks t ~off ~len f =
-  if len > 0 then begin
-    let bs = t.cfg.block_size in
-    let first = off / bs and last = (off + len - 1) / bs in
-    for index = first to last do
+(* [read] and [write] walk the blocks overlapped by [off, off+len), with
+   [lo, hi) the byte range within each block. *)
+let read t ~now ~cls ~migrated ~file ~file_size ~off ~len =
+  let bs = t.cfg.block_size in
+  if len > 0 then
+    for index = off / bs to (off + len - 1) / bs do
       let block_start = index * bs in
       let lo = max off block_start - block_start in
       let hi = min (off + len) (block_start + bs) - block_start in
-      f ~index ~lo ~hi
-    done
-  end
-
-let read t ~now ~cls ~migrated ~file ~file_size ~off ~len =
-  let targets = class_targets t ~cls ~migrated in
-  iter_blocks t ~off ~len (fun ~index ~lo ~hi ->
-      let wanted = hi - lo in
-      List.iter
-        (fun s ->
-          s.read_ops <- s.read_ops + 1;
-          s.bytes_read <- s.bytes_read + wanted)
-        targets;
+      count t ~cls ~migrated read_op (hi - lo);
       Dfs_obs.Metrics.incr m_lookups;
-      match find_block t ~file ~index with
-      | Some b ->
-        List.iter (fun s -> s.read_hits <- s.read_hits + 1) targets;
+      let b = find_block t ~file ~index in
+      if b != t.head then begin
+        count t ~cls ~migrated read_hit 0;
         Dfs_obs.Metrics.incr m_hits;
         touch t b ~now
-      | None ->
-        let block_start = index * t.cfg.block_size in
-        let avail = max 0 (min t.cfg.block_size (file_size - block_start)) in
+      end
+      else begin
+        let avail = max 0 (min bs (file_size - block_start)) in
         t.backend.fetch ~cls ~file ~index ~bytes:avail;
-        List.iter
-          (fun s ->
-            s.read_misses <- s.read_misses + 1;
-            s.bytes_fetched <- s.bytes_fetched + avail)
-          targets;
+        count t ~cls ~migrated read_miss avail;
         Dfs_obs.Metrics.incr m_misses;
         Dfs_obs.Metrics.add m_fetch_bytes avail;
         if Dfs_obs.Tracer.active () then
@@ -402,50 +437,35 @@ let read t ~now ~cls ~migrated ~file ~file_size ~off ~len =
                 ("bytes", Dfs_obs.Json.Int avail);
               ]
             ();
-        let b = insert_block t ~now ~file ~index in
-        touch t b ~now)
+        ignore (insert_block t ~now ~file ~index)
+      end
+    done
 
 let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
-  let targets = class_targets t ~cls ~migrated in
-  iter_blocks t ~off ~len (fun ~index ~lo ~hi ->
-      let written = hi - lo in
-      List.iter
-        (fun s ->
-          s.write_ops <- s.write_ops + 1;
-          s.bytes_written <- s.bytes_written + written)
-        targets;
+  let bs = t.cfg.block_size in
+  if len > 0 then
+    for index = off / bs to (off + len - 1) / bs do
+      let block_start = index * bs in
+      let lo = max off block_start - block_start in
+      let hi = min (off + len) (block_start + bs) - block_start in
+      count t ~cls ~migrated write_op (hi - lo);
       Dfs_obs.Metrics.incr m_write_blocks;
+      let b = find_block t ~file ~index in
       let b =
-        match find_block t ~file ~index with
-        | Some b -> b
-        | None ->
-          let block_start = index * t.cfg.block_size in
-          let existing =
-            max 0 (min t.cfg.block_size (file_size - block_start))
-          in
-          (* A partial write of a non-resident block that already holds
-             data must fetch the block first (a "write fetch"); writes
-             covering all existing data need no fetch. *)
-          if lo > 0 && existing > 0 && block_start < file_size then begin
+        if b != t.head then b
+        else begin
+          let existing = max 0 (min bs (file_size - block_start)) in
+          (* A write that leaves some of a non-resident block's existing
+             data in place (it starts past the block's start, or covers
+             only its head) must fetch the block first: a "write fetch".
+             Writes covering all existing data need no fetch. *)
+          if existing > 0 && (lo > 0 || hi < existing) then begin
             t.backend.fetch ~cls ~file ~index ~bytes:existing;
             Dfs_obs.Metrics.incr m_write_fetches;
-            List.iter
-              (fun s ->
-                s.write_fetches <- s.write_fetches + 1;
-                s.write_fetch_bytes <- s.write_fetch_bytes + existing)
-              targets
-          end
-          else if lo = 0 && hi < existing then begin
-            (* overwrite of the block's head only: the tail must survive *)
-            t.backend.fetch ~cls ~file ~index ~bytes:existing;
-            Dfs_obs.Metrics.incr m_write_fetches;
-            List.iter
-              (fun s ->
-                s.write_fetches <- s.write_fetches + 1;
-                s.write_fetch_bytes <- s.write_fetch_bytes + existing)
-              targets
+            count t ~cls ~migrated write_fetch existing
           end;
           insert_block t ~now ~file ~index
+        end
       in
       if not b.dirty then b.dirtied_at <- now;
       note_dirty t b;
@@ -454,7 +474,8 @@ let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
          data — the append behaviour the paper blames for writeback-traffic
          variance. *)
       b.dirty_high <- max b.dirty_high hi;
-      touch t b ~now)
+      touch t b ~now
+    done
 
 let blocks_of_file t file =
   match Hashtbl.find_opt t.files (File.to_int file) with
@@ -505,12 +526,9 @@ let crash t ~now =
      The loss is NOT counted as [dirty_bytes_discarded] — that stat is
      the paper's deleted-before-writeback {e saving}; crash loss is the
      delayed-write {e cost} and is accounted by the fault injector. *)
-  let all =
-    Hashtbl.fold
-      (fun _ tbl acc -> Hashtbl.fold (fun _ b acc -> b :: acc) tbl acc)
-      t.files []
-  in
-  List.iter (fun b -> drop_block t b ~discard_dirty:false) all;
+  while t.head.next != t.head do
+    drop_block t t.head.next ~discard_dirty:false
+  done;
   lost
 
 let tick t ~now =
@@ -549,19 +567,42 @@ let tick t ~now =
       else if !oldest < infinity then info.earliest <- !oldest)
     candidates
 
+let resident_blocks t =
+  let rec walk b acc =
+    if b == t.head then acc else walk b.prev ((b.b_file, b.b_index) :: acc)
+  in
+  walk t.head.prev []
+
 let set_capacity t ~now blocks =
   let blocks = max t.cfg.min_capacity_blocks blocks in
   t.capacity <- max 1 blocks;
-  while L.length t.lru > t.capacity do
+  while t.resident > t.capacity do
     if not (evict_one t ~now ~reason:Replace_to_vm) then assert false
   done
 
 let check_invariants t =
+  (* The ring: walk it both ways, checking every splice is mutual and every
+     block on it is the one its file's table holds.  The walks are bounded
+     by [resident], so a broken ring fails instead of looping. *)
+  let walk step back =
+    let n = ref 0 and b = ref (step t.head) in
+    while !b != t.head do
+      assert (back (step !b) == !b);
+      assert (find_block t ~file:!b.b_file ~index:!b.b_index == !b);
+      incr n;
+      assert (!n <= t.resident);
+      b := step !b
+    done;
+    assert (back (step t.head) == t.head);
+    !n
+  in
+  assert (walk (fun b -> b.next) (fun b -> b.prev) = t.resident);
+  assert (walk (fun b -> b.prev) (fun b -> b.next) = t.resident);
   let indexed =
     Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.files 0
   in
-  assert (indexed = L.length t.lru);
-  assert (L.length t.lru <= t.capacity);
+  assert (indexed = t.resident);
+  assert (t.resident <= t.capacity);
   let dirty = ref 0 in
   Hashtbl.iter
     (fun _ tbl -> Hashtbl.iter (fun _ b -> if b.dirty then incr dirty) tbl)

@@ -18,7 +18,21 @@
 
     The cache moves no actual data — it tracks byte counts, which is all
     the paper's tables need — but its state machine (residency, dirtiness,
-    ages) is faithful. *)
+    ages) is faithful.
+
+    {2 Data structure}
+
+    Each resident block is one mutable record, indexed once: a table of
+    per-file tables maps (file, block index) to it.  The per-file tables'
+    iteration order decides the order of writebacks in {!fsync},
+    {!recall}, {!tick} and {!crash}, and so the server's view; it is part
+    of the output.  Recency lives on the records themselves: [prev]/[next]
+    fields link every resident block into a circular ring through a
+    per-cache sentinel, least recently used first.  A hit is a table
+    lookup plus an O(1) splice to the most-recent end; an eviction unlinks
+    the sentinel's successor; the resident count is a field.  A read or
+    write that hits allocates nothing.  A cache shares no mutable state
+    with any other, so caches may run on different domains at once. *)
 
 type clean_reason =
   | Clean_delay  (** the 30-second delayed-write policy *)
@@ -142,6 +156,11 @@ val size : t -> int
 
 val resident_bytes : t -> int
 
+val resident_blocks : t -> (Dfs_trace.Ids.File.t * int) list
+(** Every resident block as (file, block index), least recently used
+    first: the order {!set_capacity} and {!read}/{!write} misses evict in.
+    O(size). *)
+
 val set_capacity : t -> now:float -> int -> unit
 (** Shrinking evicts LRU blocks to the VM system ([Replace_to_vm]);
     clamped to [min_capacity_blocks]. *)
@@ -185,6 +204,7 @@ val drop_contents : t -> unit
     writeback, so the cache must not be used for I/O afterwards. *)
 
 val check_invariants : t -> unit
-(** Internal consistency (size within capacity, LRU and index agree,
-    dirty counters match).  Raises [Assert_failure] on violation; used by
-    tests. *)
+(** Internal consistency: the recency ring is well linked both ways
+    ([b.next.prev == b]), holds exactly the indexed blocks, and its length
+    equals {!size}, which is within capacity; dirty counters match.
+    Raises [Assert_failure] on violation; used by tests. *)

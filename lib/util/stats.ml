@@ -1,5 +1,7 @@
+(* Every field is a float, so the record is stored flat and [add] boxes
+   nothing.  The count is exact as a float up to 2^53 samples. *)
 type t = {
-  mutable n : int;
+  mutable n : float;
   mutable mean : float;
   mutable m2 : float;
   mutable min : float;
@@ -8,15 +10,15 @@ type t = {
 }
 
 let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min = nan; max = nan; total = 0.0 }
+  { n = 0.0; mean = 0.0; m2 = 0.0; min = nan; max = nan; total = 0.0 }
 
 let add t x =
-  t.n <- t.n + 1;
+  t.n <- t.n +. 1.0;
   t.total <- t.total +. x;
   let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
+  t.mean <- t.mean +. (delta /. t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if t.n = 1 then begin
+  if t.n = 1.0 then begin
     t.min <- x;
     t.max <- x
   end
@@ -28,12 +30,12 @@ let add t x =
 let add_n t x k =
   if k > 0 then begin
     (* Merging a degenerate accumulator holding x with multiplicity k. *)
-    let n_a = float_of_int t.n and n_b = float_of_int k in
+    let n_a = t.n and n_b = float_of_int k in
     let n = n_a +. n_b in
     let delta = x -. t.mean in
-    let mean = if t.n = 0 then x else t.mean +. (delta *. n_b /. n) in
+    let mean = if t.n = 0.0 then x else t.mean +. (delta *. n_b /. n) in
     let m2 = t.m2 +. (delta *. delta *. n_a *. n_b /. n) in
-    t.n <- t.n + k;
+    t.n <- n;
     t.total <- t.total +. (x *. n_b);
     t.mean <- mean;
     t.m2 <- m2;
@@ -41,31 +43,31 @@ let add_n t x k =
     if Float.is_nan t.max || x > t.max then t.max <- x
   end
 
-let count t = t.n
+let count t = int_of_float t.n
 
 let total t = t.total
 
-let mean t = if t.n = 0 then 0.0 else t.mean
+let mean t = if t.n = 0.0 then 0.0 else t.mean
 
 (* Sample (Bessel-corrected, n-1) standard deviation: the paper's tables
    report statistics of observed traces as estimates, not population
    parameters.  [m2] itself is convention-free (sum of squared deviations),
    so [add]/[add_n]/[merge] need no change. *)
-let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
+let stddev t = if t.n < 2.0 then 0.0 else sqrt (t.m2 /. (t.n -. 1.0))
 
 let min t = t.min
 
 let max t = t.max
 
 let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
+  if a.n = 0.0 then { b with n = b.n }
+  else if b.n = 0.0 then { a with n = a.n }
   else begin
-    let n_a = float_of_int a.n and n_b = float_of_int b.n in
+    let n_a = a.n and n_b = b.n in
     let n = n_a +. n_b in
     let delta = b.mean -. a.mean in
     {
-      n = a.n + b.n;
+      n;
       mean = a.mean +. (delta *. n_b /. n);
       m2 = a.m2 +. b.m2 +. (delta *. delta *. n_a *. n_b /. n);
       min = Float.min a.min b.min;
@@ -85,7 +87,7 @@ type summary = {
 
 let summary (t : t) : summary =
   {
-    n = t.n;
+    n = count t;
     mean = mean t;
     stddev = stddev t;
     min = t.min;

@@ -373,12 +373,340 @@ let prop_writeback_bounded_by_written =
       s.writeback_bytes + s.dirty_bytes_discarded
       <= s.all.bytes_written + (Bc.size cache * bs))
 
+(* -- differential test against a reference model ------------------------------ *)
+
+(* A brute-force Sprite cache: the resident blocks are a plain list, least
+   recently used first, and every rule is restated from the policy rather
+   than from the implementation. *)
+module Model = struct
+  type block = {
+    file : int;
+    index : int;
+    mutable dirty : bool;
+    mutable dirtied_at : float;
+    mutable high : int;  (* writeback extent *)
+  }
+
+  type event =
+    | Fetch of int * int * int  (* file, index, bytes *)
+    | Writeback of int * int * int * Bc.clean_reason
+
+  type t = {
+    mutable blocks : block list;
+    mutable capacity : int;
+    min_capacity : int;
+    delay : float;
+    mutable events : event list;  (* newest first *)
+  }
+
+  let create ~capacity ~min_capacity ~delay =
+    { blocks = []; capacity; min_capacity; delay; events = [] }
+
+  let emit m e = m.events <- e :: m.events
+
+  let find m file index =
+    List.find_opt (fun b -> b.file = file && b.index = index) m.blocks
+
+  let to_mru m b = m.blocks <- List.filter (fun x -> x != b) m.blocks @ [ b ]
+
+  let clean m b reason =
+    if b.dirty then begin
+      emit m (Writeback (b.file, b.index, b.high, reason));
+      b.dirty <- false;
+      b.high <- 0
+    end
+
+  let evict m reason =
+    match m.blocks with
+    | [] -> assert false
+    | b :: rest ->
+      m.blocks <- rest;
+      clean m b reason
+
+  let insert m ~now file index =
+    while List.length m.blocks >= m.capacity do
+      evict m Bc.Clean_eviction
+    done;
+    let b = { file; index; dirty = false; dirtied_at = now; high = 0 } in
+    m.blocks <- m.blocks @ [ b ];
+    b
+
+  (* (index, lo, hi) of each block [off, off+len) overlaps *)
+  let spans ~off ~len =
+    List.filter_map
+      (fun index ->
+        let lo = max off (index * bs) and hi = min (off + len) ((index + 1) * bs) in
+        if lo < hi then Some (index, lo - (index * bs), hi - (index * bs)) else None)
+      (List.init ((off + len) / bs + 1) Fun.id)
+
+  let held ~size index = max 0 (min bs (size - (index * bs)))
+
+  let read m ~now ~file ~size ~off ~len =
+    List.iter
+      (fun (index, _, _) ->
+        match find m file index with
+        | Some b -> to_mru m b
+        | None ->
+          emit m (Fetch (file, index, held ~size index));
+          ignore (insert m ~now file index))
+      (spans ~off ~len)
+
+  let write m ~now ~file ~size ~off ~len =
+    List.iter
+      (fun (index, lo, hi) ->
+        let b =
+          match find m file index with
+          | Some b -> b
+          | None ->
+            (* data already in the block that this write leaves in place
+               must be fetched first *)
+            let held = held ~size index in
+            if held > 0 && not (lo = 0 && hi >= held) then
+              emit m (Fetch (file, index, held));
+            insert m ~now file index
+        in
+        if not b.dirty then begin
+          b.dirty <- true;
+          b.dirtied_at <- now
+        end;
+        b.high <- max b.high hi;
+        to_mru m b)
+      (spans ~off ~len)
+
+  let clean_file m file reason =
+    List.iter (fun b -> if b.file = file then clean m b reason) m.blocks
+
+  let tick m ~now =
+    let expired =
+      List.filter_map
+        (fun b ->
+          if b.dirty && now -. b.dirtied_at >= m.delay then Some b.file else None)
+        m.blocks
+    in
+    List.iter
+      (fun file -> clean_file m file Bc.Clean_delay)
+      (List.sort_uniq compare expired)
+
+  let drop m file = m.blocks <- List.filter (fun b -> b.file <> file) m.blocks
+
+  let crash m =
+    let lost =
+      List.fold_left (fun acc b -> if b.dirty then acc + b.high else acc) 0 m.blocks
+    in
+    m.blocks <- [];
+    lost
+
+  let set_capacity m n =
+    m.capacity <- max 1 (max m.min_capacity n);
+    while List.length m.blocks > m.capacity do
+      evict m Bc.Clean_vm
+    done
+end
+
+type cache_op =
+  | Read of int * int * int * int  (* file, size, off, len *)
+  | Write of int * int * int * int
+  | Set_capacity of int
+  | Invalidate of int
+  | Delete of int
+  | Fsync of int
+  | Recall of int
+  | Flush_and_invalidate of int
+  | Tick
+  | Crash
+
+let print_cache_op = function
+  | Read (f, s, o, l) -> Printf.sprintf "read f%d size=%d off=%d len=%d" f s o l
+  | Write (f, s, o, l) -> Printf.sprintf "write f%d size=%d off=%d len=%d" f s o l
+  | Set_capacity n -> Printf.sprintf "set_capacity %d" n
+  | Invalidate f -> Printf.sprintf "invalidate f%d" f
+  | Delete f -> Printf.sprintf "delete f%d" f
+  | Fsync f -> Printf.sprintf "fsync f%d" f
+  | Recall f -> Printf.sprintf "recall f%d" f
+  | Flush_and_invalidate f -> Printf.sprintf "flush_and_invalidate f%d" f
+  | Tick -> "tick"
+  | Crash -> "crash"
+
+(* A few files, block-aligned and ragged offsets, sizes that end inside,
+   at and past block boundaries. *)
+let cache_op_gen =
+  let open QCheck.Gen in
+  let file = int_range 1 3 in
+  let size = oneofl [ 0; 100; bs; (5 * bs) / 2; 6 * bs ] in
+  let off =
+    map2
+      (fun blk within -> (blk * bs) + within)
+      (int_bound 5)
+      (oneofl [ 0; 0; 512; bs - 1 ])
+  in
+  let len = oneofl [ 0; 1; 100; bs; bs + 1; 2 * bs ] in
+  let access k = map (fun (f, s, o, l) -> k f s o l) (quad file size off len) in
+  frequency
+    [
+      (8, access (fun f s o l -> Read (f, s, o, l)));
+      (8, access (fun f s o l -> Write (f, s, o, l)));
+      (2, map (fun n -> Set_capacity n) (int_range 0 8));
+      (1, map (fun f -> Invalidate f) file);
+      (1, map (fun f -> Delete f) file);
+      (1, map (fun f -> Fsync f) file);
+      (1, map (fun f -> Recall f) file);
+      (1, map (fun f -> Flush_and_invalidate f) file);
+      (3, return Tick);
+      (1, return Crash);
+    ]
+
+(* Run [ops] on a cache and on the model, ten simulated seconds apart at
+   most, comparing after every op.  Evictions happen inside reads, writes
+   and capacity changes, so their events must match in order; the other
+   ops clean whole files, in the cache's table order, so their events are
+   compared as sets. *)
+let differential ops =
+  let capacity = 4 and min_capacity = 1 and delay = 30.0 in
+  let cache, log = make_cache ~capacity ~min_capacity ~delay () in
+  let model = Model.create ~capacity ~min_capacity ~delay in
+  let events () =
+    (* the backend log as model events, oldest first *)
+    ( List.rev_map (fun (f, i, b) -> Model.Fetch (f, i, b)) log.fetches,
+      List.rev_map (fun (f, i, b, r) -> Model.Writeback (f, i, b, r)) log.writebacks )
+  in
+  let split evs =
+    ( List.filter (function Model.Fetch _ -> true | _ -> false) evs,
+      List.filter (function Model.Writeback _ -> true | _ -> false) evs )
+  in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+  List.iteri
+    (fun step (op, dt) ->
+      let now = float_of_int (10 * (step + 1)) +. dt in
+      log.fetches <- [];
+      log.writebacks <- [];
+      model.events <- [];
+      let in_order =
+        match op with
+        | Read (file, size, off, len) ->
+          read ~now cache ~file ~size ~off ~len;
+          Model.read model ~now ~file ~size ~off ~len;
+          true
+        | Write (file, size, off, len) ->
+          write ~now cache ~file ~size ~off ~len;
+          Model.write model ~now ~file ~size ~off ~len;
+          true
+        | Set_capacity n ->
+          Bc.set_capacity cache ~now n;
+          Model.set_capacity model n;
+          true
+        | Invalidate file ->
+          Bc.invalidate cache ~now ~file:(f file);
+          Model.drop model file;
+          false
+        | Delete file ->
+          Bc.delete cache ~now ~file:(f file);
+          Model.drop model file;
+          false
+        | Fsync file ->
+          Bc.fsync cache ~now ~file:(f file);
+          Model.clean_file model file Bc.Clean_fsync;
+          false
+        | Recall file ->
+          Bc.recall cache ~now ~file:(f file);
+          Model.clean_file model file Bc.Clean_recall;
+          false
+        | Flush_and_invalidate file ->
+          Bc.flush_and_invalidate cache ~now ~file:(f file);
+          Model.clean_file model file Bc.Clean_recall;
+          Model.drop model file;
+          false
+        | Tick ->
+          Bc.tick cache ~now;
+          Model.tick model ~now;
+          false
+        | Crash ->
+          let lost = Bc.crash cache ~now in
+          let expected = Model.crash model in
+          if lost <> expected then
+            fail "step %d: crash lost %d, model %d" step lost expected;
+          false
+      in
+      Bc.check_invariants cache;
+      let fetches, wbs = events () in
+      let m_fetches, m_wbs = split (List.rev model.events) in
+      let norm l = if in_order then l else List.sort compare l in
+      if fetches <> m_fetches then
+        fail "step %d (%s): fetch calls differ" step (print_cache_op op);
+      if norm wbs <> norm m_wbs then
+        fail "step %d (%s): writebacks differ" step (print_cache_op op);
+      let resident =
+        List.map (fun (file, i) -> (File.to_int file, i)) (Bc.resident_blocks cache)
+      in
+      let m_resident = List.map (fun b -> (b.Model.file, b.Model.index)) model.blocks in
+      if resident <> m_resident then
+        fail "step %d (%s): resident blocks or their recency order differ" step
+          (print_cache_op op);
+      let m_dirty = List.filter (fun b -> b.Model.dirty) model.blocks in
+      if Bc.dirty_blocks cache <> List.length m_dirty then
+        fail "step %d (%s): dirty block counts differ" step (print_cache_op op))
+    ops;
+  true
+
+let prop_matches_reference_model =
+  QCheck.Test.make ~name:"block cache matches a list-based LRU model" ~count:300
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           list (fun (op, dt) -> Printf.sprintf "%s @+%g" (print_cache_op op) dt))
+       QCheck.Gen.(list_size (0 -- 80) (pair cache_op_gen (float_bound_inclusive 9.0))))
+    differential
+
+(* -- hot path allocation and isolation ------------------------------------------ *)
+
+let read_file cache ~now ~migrated file =
+  Bc.read cache ~now ~cls:Bc.Class_file ~migrated ~file ~file_size:bs ~off:0 ~len:bs
+
+let test_read_hits_allocate_nothing () =
+  let cache, _ = make_cache ~capacity:64 () in
+  let files = Array.init 16 (fun i -> f (i + 1)) in
+  Array.iter (fun file -> read_file cache ~now:0.0 ~migrated:false file) files;
+  let now = 1.0 and n = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    read_file cache ~now ~migrated:(i land 1 = 0) files.(i land 15)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all hits" n (Bc.stats cache).all.read_hits;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d hits, at most 0.01 each" words n)
+    true
+    (words <= 0.01 *. float_of_int n)
+
+(* Caches running on different domains at once must not see each other:
+   the same script gives the same outcome alone and side by side. *)
+let test_caches_share_no_state () =
+  let script () =
+    let cache, log = make_cache ~capacity:32 ~min_capacity:8 () in
+    let st = Random.State.make [| 7 |] in
+    for i = 1 to 20_000 do
+      let now = float_of_int i *. 0.01 in
+      let file = 1 + Random.State.int st 6 and off = bs * Random.State.int st 16 in
+      if Random.State.bool st then read ~now cache ~file ~size:(16 * bs) ~off ~len:bs
+      else write ~now cache ~file ~size:(16 * bs) ~off ~len:100;
+      if i mod 500 = 0 then Bc.tick cache ~now;
+      if i mod 3000 = 0 then Bc.set_capacity cache ~now (8 + Random.State.int st 32)
+    done;
+    Bc.check_invariants cache;
+    (Bc.resident_blocks cache, log.fetches, log.writebacks)
+  in
+  let alone = script () in
+  let a = Domain.spawn script and b = Domain.spawn script in
+  let a = Domain.join a and b = Domain.join b in
+  Alcotest.(check bool) "first domain matches the solo run" true (a = alone);
+  Alcotest.(check bool) "second domain matches the solo run" true (b = alone)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_random_ops_keep_invariants;
       prop_reads_conserve_bytes;
       prop_writeback_bounded_by_written;
+      prop_matches_reference_model;
     ]
 
 let suite =
@@ -410,5 +738,7 @@ let suite =
     ("shrink flushes dirty to VM", `Quick, test_shrink_flushes_dirty_to_vm);
     ("capacity floor", `Quick, test_capacity_floor);
     ("resident bytes", `Quick, test_resident_bytes);
+    ("read hits allocate nothing", `Quick, test_read_hits_allocate_nothing);
+    ("caches on two domains share no state", `Quick, test_caches_share_no_state);
   ]
   @ qcheck_tests

@@ -397,64 +397,105 @@ let test_heap_filter_releases () =
   (* keep the heap's backing array live across the GC (see above) *)
   Alcotest.(check bool) "filter-all empties" true (SH.is_empty h)
 
-(* -- Lru ------------------------------------------------------------------- *)
+(* -- LRU order ----------------------------------------------------------------- *)
 
-module IL = Lru.Make (struct
-  type t = int
+(* Dfs_util no longer has an LRU: the block cache keeps its recency order in
+   an intrusive ring on the block records.  These tests pin the same
+   properties there.  Each key is one 1-byte dirty block of file [key], so
+   an eviction shows up as a writeback naming its victim. *)
+module Bc = Dfs_cache.Block_cache
 
-  let equal = Int.equal
+let lru_cache capacity =
+  let victims = ref [] in
+  let cache =
+    Bc.create
+      ~config:
+        {
+          Bc.block_size = Units.block_size;
+          writeback_delay = 30.0;
+          capacity_blocks = capacity;
+          min_capacity_blocks = 1;
+        }
+      {
+        Bc.fetch = (fun ~cls:_ ~file:_ ~index:_ ~bytes:_ -> ());
+        writeback =
+          (fun ~file ~index:_ ~bytes:_ ~reason:_ ->
+            victims := Dfs_trace.Ids.File.to_int file :: !victims);
+      }
+  in
+  (cache, victims)
 
-  let hash = Hashtbl.hash
-end)
+let lru_access op cache key =
+  op cache ~now:0.0 ~cls:Bc.Class_file ~migrated:false
+    ~file:(Dfs_trace.Ids.File.of_int key) ~file_size:1 ~off:0 ~len:1
+
+let lru_add = lru_access Bc.write
+
+let lru_use = lru_access Bc.read
+
+(* Evict every block, least recently used first. *)
+let lru_drain (cache, victims) =
+  victims := [];
+  Bc.set_capacity cache ~now:0.0 1;
+  lru_add cache 1_000_000;
+  List.rev !victims
 
 let test_lru_order () =
-  let l = IL.create () in
-  IL.add l 1 "a";
-  IL.add l 2 "b";
-  IL.add l 3 "c";
-  Alcotest.(check (option (pair int string))) "lru is 1" (Some (1, "a")) (IL.lru l);
-  ignore (IL.use l 1);
-  Alcotest.(check (option (pair int string))) "lru now 2" (Some (2, "b")) (IL.lru l)
+  let ((cache, victims) as l) = lru_cache 3 in
+  List.iter (lru_add cache) [ 1; 2; 3 ];
+  lru_add cache 4;
+  Alcotest.(check (list int)) "lru is 1" [ 1 ] !victims;
+  lru_use cache 2;
+  Alcotest.(check (list int)) "lru now 3" [ 3; 4; 2 ] (lru_drain l)
 
 let test_lru_pop () =
-  let l = IL.create () in
-  IL.add l 1 "a";
-  IL.add l 2 "b";
-  Alcotest.(check (option (pair int string))) "pop 1" (Some (1, "a")) (IL.pop_lru l);
-  Alcotest.(check int) "length 1" 1 (IL.length l);
-  Alcotest.(check bool) "1 gone" false (IL.mem l 1)
+  let cache, victims = lru_cache 2 in
+  lru_add cache 1;
+  lru_add cache 2;
+  lru_add cache 3;
+  Alcotest.(check (list int)) "pop 1" [ 1 ] !victims;
+  Alcotest.(check int) "length 2" 2 (Bc.size cache);
+  let misses = (Bc.stats cache).all.read_misses in
+  lru_use cache 1;
+  Alcotest.(check int) "1 gone" (misses + 1) (Bc.stats cache).all.read_misses
 
 let test_lru_replace () =
-  let l = IL.create () in
-  IL.add l 1 "a";
-  IL.add l 2 "b";
-  IL.add l 1 "a2";
-  Alcotest.(check (option string)) "value replaced" (Some "a2") (IL.find l 1);
-  Alcotest.(check int) "no dup" 2 (IL.length l);
+  let ((cache, _) as l) = lru_cache 4 in
+  lru_add cache 1;
+  lru_add cache 2;
+  lru_add cache 1;
+  Alcotest.(check int) "no dup" 2 (Bc.size cache);
   (* re-adding made key 1 most recent *)
-  Alcotest.(check (option (pair int string))) "lru is 2" (Some (2, "b")) (IL.lru l)
+  Alcotest.(check (list int)) "lru is 2" [ 2; 1 ] (lru_drain l)
 
 let test_lru_remove () =
-  let l = IL.create () in
-  IL.add l 1 "a";
-  Alcotest.(check (option string)) "removed value" (Some "a") (IL.remove l 1);
-  Alcotest.(check (option string)) "second remove" None (IL.remove l 1);
-  Alcotest.(check int) "empty" 0 (IL.length l)
+  let cache, victims = lru_cache 4 in
+  lru_add cache 1;
+  Bc.invalidate cache ~now:0.0 ~file:(Dfs_trace.Ids.File.of_int 1);
+  Bc.invalidate cache ~now:0.0 ~file:(Dfs_trace.Ids.File.of_int 1);
+  Alcotest.(check int) "empty" 0 (Bc.size cache);
+  Alcotest.(check (list int)) "removed, not evicted" [] !victims;
+  Bc.check_invariants cache
 
 let test_lru_iter_order () =
-  let l = IL.create () in
-  List.iter (fun k -> IL.add l k (string_of_int k)) [ 1; 2; 3 ];
-  ignore (IL.use l 2);
-  Alcotest.(check (list int)) "lru-first order" [ 1; 3; 2 ]
-    (List.map fst (IL.to_list l))
+  let ((cache, _) as l) = lru_cache 4 in
+  List.iter (lru_add cache) [ 1; 2; 3 ];
+  lru_use cache 2;
+  Alcotest.(check (list int)) "lru-first order" [ 1; 3; 2 ] (lru_drain l)
 
+(* Writebacks look blocks up without referencing them. *)
 let test_lru_find_does_not_promote () =
-  let l = IL.create () in
-  IL.add l 1 "a";
-  IL.add l 2 "b";
-  ignore (IL.find l 1);
-  Alcotest.(check (option (pair int string))) "1 still lru" (Some (1, "a"))
-    (IL.lru l)
+  let cache, _ = lru_cache 2 in
+  lru_use cache 1;
+  lru_use cache 2;
+  Bc.fsync cache ~now:0.0 ~file:(Dfs_trace.Ids.File.of_int 1);
+  Bc.recall cache ~now:0.0 ~file:(Dfs_trace.Ids.File.of_int 1);
+  Bc.tick cache ~now:100.0;
+  lru_use cache 3;
+  let misses = (Bc.stats cache).all.read_misses in
+  lru_use cache 1;
+  Alcotest.(check int) "1 was still lru" (misses + 1)
+    (Bc.stats cache).all.read_misses
 
 (* -- Table / Units ----------------------------------------------------------- *)
 
@@ -561,6 +602,132 @@ let prop_stats_merge_equals_sequential =
       && Float.abs (Stats.mean m -. Stats.mean w) < 1e-6
       && Float.abs (Stats.stddev m -. Stats.stddev w) < 1e-6)
 
+(* The int-count accumulator [Stats.t] replaced, kept as a reference: the
+   float-count record must give bit-identical results. *)
+module Ref_stats = struct
+  type t = {
+    mutable n : int;
+    mutable mean : float;
+    mutable m2 : float;
+    mutable min : float;
+    mutable max : float;
+    mutable total : float;
+  }
+
+  let create () =
+    { n = 0; mean = 0.0; m2 = 0.0; min = nan; max = nan; total = 0.0 }
+
+  let add t x =
+    t.n <- t.n + 1;
+    t.total <- t.total +. x;
+    let delta = x -. t.mean in
+    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+    if t.n = 1 then begin
+      t.min <- x;
+      t.max <- x
+    end
+    else begin
+      if x < t.min then t.min <- x;
+      if x > t.max then t.max <- x
+    end
+
+  let add_n t x k =
+    if k > 0 then begin
+      let n_a = float_of_int t.n and n_b = float_of_int k in
+      let n = n_a +. n_b in
+      let delta = x -. t.mean in
+      let mean = if t.n = 0 then x else t.mean +. (delta *. n_b /. n) in
+      let m2 = t.m2 +. (delta *. delta *. n_a *. n_b /. n) in
+      t.n <- t.n + k;
+      t.total <- t.total +. (x *. n_b);
+      t.mean <- mean;
+      t.m2 <- m2;
+      if Float.is_nan t.min || x < t.min then t.min <- x;
+      if Float.is_nan t.max || x > t.max then t.max <- x
+    end
+
+  let mean t = if t.n = 0 then 0.0 else t.mean
+
+  let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
+
+  let merge a b =
+    if a.n = 0 then { b with n = b.n }
+    else if b.n = 0 then { a with n = a.n }
+    else begin
+      let n_a = float_of_int a.n and n_b = float_of_int b.n in
+      let n = n_a +. n_b in
+      let delta = b.mean -. a.mean in
+      {
+        n = a.n + b.n;
+        mean = a.mean +. (delta *. n_b /. n);
+        m2 = a.m2 +. b.m2 +. (delta *. delta *. n_a *. n_b /. n);
+        min = Float.min a.min b.min;
+        max = Float.max a.max b.max;
+        total = a.total +. b.total;
+      }
+    end
+end
+
+type stats_op =
+  | S_add of float
+  | S_add_n of float * int
+  | S_merge of bool * float list  (* true: the fresh accumulator goes left *)
+
+let stats_op_gen =
+  let open QCheck.Gen in
+  let x = float_range (-1e3) 1e3 in
+  frequency
+    [
+      (6, map (fun v -> S_add v) x);
+      (2, map2 (fun v k -> S_add_n (v, k)) x (int_range (-1) 5));
+      (1, map2 (fun l xs -> S_merge (l, xs)) bool (list_size (0 -- 6) x));
+    ]
+
+let print_stats_op = function
+  | S_add x -> Printf.sprintf "add %h" x
+  | S_add_n (x, k) -> Printf.sprintf "add_n %h %d" x k
+  | S_merge (l, xs) ->
+    Printf.sprintf "merge %b [%s]" l
+      (String.concat "; " (List.map (Printf.sprintf "%h") xs))
+
+let prop_stats_match_int_count_reference =
+  QCheck.Test.make ~name:"stats bit-identical to int-count reference" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_stats_op)
+       QCheck.Gen.(list_size (0 -- 40) stats_op_gen))
+    (fun ops ->
+      let s = ref (Stats.create ()) and r = ref (Ref_stats.create ()) in
+      List.iter
+        (function
+          | S_add x ->
+            Stats.add !s x;
+            Ref_stats.add !r x
+          | S_add_n (x, k) ->
+            Stats.add_n !s x k;
+            Ref_stats.add_n !r x k
+          | S_merge (left, xs) ->
+            let s' = Stats.create () and r' = Ref_stats.create () in
+            List.iter (Stats.add s') xs;
+            List.iter (Ref_stats.add r') xs;
+            if left then begin
+              s := Stats.merge s' !s;
+              r := Ref_stats.merge r' !r
+            end
+            else begin
+              s := Stats.merge !s s';
+              r := Ref_stats.merge !r r'
+            end)
+        ops;
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let s = !s and r = !r in
+      Stats.count s = r.n
+      && same (Stats.mean s) (Ref_stats.mean r)
+      && same (Stats.stddev s) (Ref_stats.stddev r)
+      && same (Stats.min s) r.min
+      && same (Stats.max s) r.max
+      && same (Stats.total s) r.total)
+
 let prop_cdf_monotone =
   QCheck.Test.make ~name:"cdf is monotone" ~count:200
     QCheck.(list_of_size Gen.(1 -- 50) (float_range 0.0 1000.0))
@@ -598,24 +765,19 @@ let prop_lru_length =
   QCheck.Test.make ~name:"lru length = distinct keys" ~count:200
     QCheck.(list (int_bound 20))
     (fun keys ->
-      let l = IL.create () in
-      List.iter (fun k -> IL.add l k "") keys;
-      IL.length l = List.length (List.sort_uniq compare keys))
+      let cache, _ = lru_cache 64 in
+      List.iter (lru_add cache) keys;
+      Bc.size cache = List.length (List.sort_uniq compare keys))
 
 let prop_lru_pop_order_no_use =
   QCheck.Test.make ~name:"lru pops insertion order without touches" ~count:200
     QCheck.(list_of_size Gen.(0 -- 20) (int_bound 1000))
     (fun keys ->
       let distinct = List.sort_uniq compare keys in
-      let l = IL.create () in
+      let ((cache, _) as l) = lru_cache 64 in
       (* insert distinct keys in a deterministic order *)
-      List.iteri (fun i k -> IL.add l k i) distinct;
-      let rec drain acc =
-        match IL.pop_lru l with
-        | None -> List.rev acc
-        | Some (k, _) -> drain (k :: acc)
-      in
-      drain [] = distinct)
+      List.iter (lru_add cache) distinct;
+      lru_drain l = distinct)
 
 let prop_dist_clamp_respected =
   QCheck.Test.make ~name:"clamped samples stay in range" ~count:200
@@ -683,6 +845,7 @@ let qcheck_tests =
       prop_crc32c_split_invariance;
       prop_stats_mean_bounds;
       prop_stats_merge_equals_sequential;
+      prop_stats_match_int_count_reference;
       prop_cdf_monotone;
       prop_cdf_quantile_consistent;
       prop_heap_sorts;
