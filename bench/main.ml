@@ -404,9 +404,7 @@ let ablation_migration_policy () =
         }
       in
       let cluster, _ = Dfs_workload.Presets.run p in
-      let batch =
-        Dfs_trace.Record_batch.of_list (Dfs_sim.Cluster.merged_trace cluster)
-      in
+      let batch = Dfs_trace.Sink.to_batch (Dfs_sim.Cluster.merged_chunks cluster) in
       let r = Dfs_analysis.Activity.analyze ~interval:10.0 batch in
       Printf.printf "  migration %-3s: peak 10s total %6.0f KB/s\n"
         (if migration then "on" else "off")

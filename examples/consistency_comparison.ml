@@ -18,9 +18,7 @@ let () =
   Printf.printf "simulating %s (%.1f h)...\n%!" preset.name
     (preset.duration /. 3600.0);
   let cluster, _ = Dfs_workload.Presets.run preset in
-  let trace =
-    Dfs_trace.Record_batch.of_list (Dfs_sim.Cluster.merged_trace cluster)
-  in
+  let trace = Dfs_trace.Sink.to_batch (Dfs_sim.Cluster.merged_chunks cluster) in
 
   (* -- stale data under polling ------------------------------------------ *)
   Printf.printf "\n== What if consistency were polling-based (NFS-style)? ==\n";

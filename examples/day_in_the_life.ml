@@ -6,8 +6,7 @@
    Run with:  dune exec examples/day_in_the_life.exe *)
 
 module Cluster = Dfs_sim.Cluster
-module Record = Dfs_trace.Record
-module Ids = Dfs_trace.Ids
+module B = Dfs_trace.Record_batch
 
 let () =
   (* a small cluster keeps the full 24 hours quick *)
@@ -29,21 +28,19 @@ let () =
     preset.cluster_config.n_clients
     (preset.params.n_regular_users + preset.params.n_occasional_users);
   let cluster, _ = Dfs_workload.Presets.run preset in
-  let trace = Cluster.merged_trace cluster in
+  let trace = Dfs_trace.Sink.to_batch (Cluster.merged_chunks cluster) in
 
   (* bucket records per hour *)
   let users = Array.init 24 (fun _ -> Hashtbl.create 8) in
   let bytes = Array.make 24 0 in
   let hour t = min 23 (int_of_float (t /. 3600.0)) in
-  List.iter
-    (fun (r : Record.t) ->
-      let h = hour r.time in
-      Hashtbl.replace users.(h) (Ids.User.to_int r.user) ();
-      match r.kind with
-      | Record.Close { bytes_read; bytes_written; _ } ->
-        bytes.(h) <- bytes.(h) + bytes_read + bytes_written
-      | _ -> ())
-    trace;
+  for i = 0 to B.length trace - 1 do
+    let h = hour (B.time trace i) in
+    Hashtbl.replace users.(h) (B.user trace i) ();
+    (* a close carries the session's byte totals in payload c and d *)
+    if B.tag trace i = B.tag_close then
+      bytes.(h) <- bytes.(h) + B.c trace i + B.d trace i
+  done;
   let peak = Array.fold_left max 1 bytes in
   Printf.printf "\n hour  users  MB moved  activity\n";
   Array.iteri

@@ -16,7 +16,7 @@ type t = {
   deaths_unknown : int;  (** deletions of files never written in-trace *)
 }
 
-val analyze : ?accesses:Session.access list -> Dfs_trace.Record.t array -> t
+val analyze : ?accesses:Session.access list -> Dfs_trace.Record_batch.t -> t
 
 (** Incremental accumulator used by the fused analysis pass: feed every
     record index with {!acc_record} (collects deletes/truncates in record

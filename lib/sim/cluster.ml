@@ -397,18 +397,12 @@ let server_chunks t =
   check_live t;
   Array.to_list (Array.map Sink.chunks_now t.logs)
 
-let server_traces t = List.map Sink.to_records (server_chunks t)
-
 let merged_chunks ?chunk_records ?spill t =
   let chunk_records =
     Option.value chunk_records ~default:t.cfg.trace_chunk_records
   in
   Dfs_trace.Merge.merge_chunks ~chunk_records ?spill ~scrub:self_users
     (server_chunks t)
-
-let merged_trace t = Sink.to_records (merged_chunks t)
-
-let merged_trace_array t = Dfs_trace.Record_batch.to_array (Sink.to_batch (merged_chunks t))
 
 (* Drop the per-server logs (deleting spilled segments) once the merged
    trace has been produced; the sinks must not be read afterwards. *)

@@ -27,7 +27,7 @@ type config = {
       (** records per sealed trace chunk (per-server logs and the merged
           trace); bounds peak memory together with [trace_spill_dir] *)
   trace_spill_dir : string option;
-      (** when set, sealed chunks are written there as binary trace
+      (** when set, sealed chunks are written there as columnar trace
           segments instead of staying in memory *)
   trace_spill_tag : string;
       (** segment-file name prefix; must be unique among clusters
@@ -113,11 +113,6 @@ val server_chunks : t -> Dfs_trace.Sink.chunks list
     be snapshotted again.
     @raise Invalid_argument after {!release_traces}. *)
 
-val server_traces : t -> Dfs_trace.Record.t list list
-(** Per-server logs in time order (as collected, before merging),
-    materialized as boxed lists.
-    @raise Invalid_argument after {!release_traces}. *)
-
 val merged_chunks :
   ?chunk_records:int -> ?spill:Dfs_trace.Sink.spill -> t -> Dfs_trace.Sink.chunks
 (** The merged, scrubbed, time-ordered trace as a chunked stream: a
@@ -127,13 +122,6 @@ val merged_chunks :
     chunks to disk.  Peak memory is one output chunk plus one loaded
     chunk per server.
     @raise Invalid_argument after {!release_traces}. *)
-
-val merged_trace : t -> Dfs_trace.Record.t list
-(** {!merged_chunks} materialized as a boxed list (tests, examples). *)
-
-val merged_trace_array : t -> Dfs_trace.Record.t array
-(** Same records as {!merged_trace}, in the dense form the analyses
-    consume. *)
 
 val release_traces : t -> unit
 (** Drop the per-server logs — in-memory chunks become collectable,

@@ -1,49 +1,31 @@
 (** Trace parsing.
 
     Every entry point sniffs the header and dispatches to the text codec
-    ({!Codec}), the varint binary one ({!Binary_codec}) or the columnar
-    segment layout ({!Segment}) automatically, so callers never name the
-    format on the read side. Readers check the version header and report
-    the first malformed line (text) or byte offset (binary/columnar).
-    Columnar files are served straight off [mmap]'d columns when
-    {!Segment.mmap_enabled}.
+    ({!Codec}) or the columnar segment layout ({!Segment}), so callers
+    never name the format on the read side.  Anything else — including
+    the retired varint binary format and version-1 segments — is
+    rejected with a one-line "not a trace" diagnostic.  Readers check
+    the version header and report the first malformed line (text) or
+    byte offset (columnar).  Columnar files are served straight off
+    [mmap]'d columns when {!Segment.mmap_enabled}; text files are parsed
+    line by line from the channel into the batch.
 
-    All entry points take an [?on_corruption] policy (default
-    {!Corruption.Fail}).  Under [Salvage], damage in any format keeps
-    the longest valid prefix — whole segments (columnar), whole records
-    (binary) or whole lines (text) — and records the incident via
-    {!Corruption.note} instead of failing.  [?source] labels the
-    diagnostics for in-memory parses; file entry points use the path. *)
-
-val of_string :
-  ?on_corruption:Corruption.policy ->
-  ?source:string ->
-  string ->
-  (Record.t list, string) result
-(** Parse a whole trace held in memory. *)
-
-val of_file :
-  ?on_corruption:Corruption.policy ->
-  string ->
-  (Record.t list, string) result
-
-val fold_file :
-  ?on_corruption:Corruption.policy ->
-  string ->
-  init:'a ->
-  f:('a -> Record.t -> 'a) ->
-  ('a, string) result
-(** Streaming fold over a trace file. For text traces this does not hold
-    records in memory; a binary trace is decoded to a batch first. *)
+    Both entry points take an [?on_corruption] policy (default
+    {!Corruption.Fail}).  Under [Salvage], damage keeps the longest
+    valid prefix — whole segments (columnar) or whole lines (text) —
+    and records the incident via {!Corruption.note} instead of failing.
+    [?source] labels the diagnostics for in-memory parses; the file
+    entry point uses the path. *)
 
 val batch_of_string :
   ?on_corruption:Corruption.policy ->
   ?source:string ->
   string ->
   (Record_batch.t, string) result
-(** Parse straight into a struct-of-arrays batch (any format). *)
+(** Parse a whole trace held in memory into a struct-of-arrays batch. *)
 
 val batch_of_file :
   ?on_corruption:Corruption.policy ->
   string ->
   (Record_batch.t, string) result
+(** @raise Sys_error when the file cannot be opened. *)

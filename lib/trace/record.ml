@@ -79,7 +79,7 @@ let pp ppf t =
 
 (* Shared input validation for every reader and importer: foreign or
    hand-written traces must not be able to smuggle non-finite times
-   (which poison sorting and the zigzag-delta binary encoding),
+   (which poison sorting),
    negative sizes/offsets/ids, or values past the columnar format's
    int32 columns into the pipeline.  One line, no backtrace — callers
    prepend file/line context. *)

@@ -60,9 +60,9 @@ val validate : t -> (t, string) result
 (** [validate r] is [Ok r] when the record is well-formed — finite,
     non-negative time; ids, sizes, positions, offsets and byte counts
     within [0 .. max_field] — and [Error reason] (one line, no context
-    prefix) otherwise.  Enforced by the text and binary readers and by
-    every importer, so hostile foreign traces cannot poison sorting,
-    the zigzag-delta binary encoding, or the analyses. *)
+    prefix) otherwise.  Enforced by the text reader and by every
+    importer, and column by column on columnar reads ({!Segment}), so
+    hostile foreign traces cannot poison sorting or the analyses. *)
 
 val pp : Format.formatter -> t -> unit
 

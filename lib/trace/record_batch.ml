@@ -56,6 +56,17 @@ let bit_is_dir = 0x80
 
 let mode_shift = 4
 
+(* Flag bits a well-formed tag byte may carry, per kind. *)
+let flag_mask = function
+  | 0 -> 0xF8 (* open: migrated, mode, created, is_dir *)
+  | 3 -> 0x88 (* delete: migrated, is_dir *)
+  | _ -> 0x08 (* others: migrated only *)
+
+let tag_ok raw =
+  let kind = raw land 0x07 in
+  raw land lnot (flag_mask kind) land 0xF8 = 0
+  && (kind <> tag_open || (raw lsr mode_shift) land 0x03 <> 3)
+
 (* Ids and payloads are stored as int32; anything wider is rejected
    loudly at append time rather than silently truncated. *)
 let i32_min_int = -0x8000_0000

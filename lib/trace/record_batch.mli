@@ -52,6 +52,10 @@ val tag_dir_read : int
 val tag_shared_read : int
 val tag_shared_write : int
 
+val tag_ok : int -> bool
+(** Is this a well-formed tag byte: a known kind, only the flag bits
+    that kind may carry, and a valid open mode? *)
+
 (** {1 Cursor accessors}
 
     All O(1) and allocation-free.  Every column has exactly [length b]
@@ -197,23 +201,6 @@ module Builder : sig
   val length : t -> int
 
   val add : t -> Record.t -> unit
-
-  val add_raw :
-    t ->
-    time:float ->
-    server:int ->
-    client:int ->
-    user:int ->
-    pid:int ->
-    file:int ->
-    raw_tag:int ->
-    a:int ->
-    b:int ->
-    c:int ->
-    d:int ->
-    unit
-  (** Append from already-decoded columns (the binary codec's fast path).
-      [raw_tag] is the full tag byte, flags included. *)
 
   val add_from : t -> batch -> int -> unit
   (** Append record [i] of an existing batch (no range re-checks: the

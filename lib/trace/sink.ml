@@ -148,19 +148,12 @@ let fold f init c =
   iter (fun r -> acc := f !acc r) c;
   !acc
 
-let to_records c =
-  let acc = ref [] in
-  iter (fun r -> acc := r :: !acc) c;
-  List.rev !acc
-
 let to_batch c =
   let builder = B.Builder.create ~capacity:(max 16 c.total) () in
   iter_batches (B.Builder.append_batch builder) c;
   B.Builder.finish builder
 
 let of_batch b = { segments = (if B.length b = 0 then [] else [ Mem b ]); total = B.length b }
-
-let of_records rs = of_batch (B.of_list rs)
 
 (* Delete any spilled segment files.  The chunks value must not be read
    afterwards. *)

@@ -4,6 +4,7 @@ module Engine = Dfs_sim.Engine
 module Fs_state = Dfs_sim.Fs_state
 module Cred = Dfs_sim.Cred
 module Record = Dfs_trace.Record
+module B = Dfs_trace.Record_batch
 module Ids = Dfs_trace.Ids
 
 type stats = {
@@ -51,55 +52,55 @@ type scan = {
   last_time : float;
 }
 
-let scan_trace records =
+let scan_trace batch =
   let max_client = ref (-1) and max_server = ref (-1) in
   let seeds : file_seed Ids.File.Tbl.t = Ids.File.Tbl.create 256 in
   let order = ref [] in
-  let last_time = ref 0.0 in
-  let bad = ref None in
-  List.iteri
-    (fun i (r : Record.t) ->
-      if !bad = None then begin
-        if r.time < !last_time then
-          bad := Some (Printf.sprintf "record %d out of time order" i)
-        else begin
-          last_time := r.time;
-          max_client := max !max_client (Ids.Client.to_int r.client);
-          max_server := max !max_server (Ids.Server.to_int r.server);
-          let seed =
-            match Ids.File.Tbl.find_opt seeds r.file with
-            | Some s -> s
-            | None ->
-              let s = { fserver = r.server; fdir = false; fsize = 0 } in
-              Ids.File.Tbl.add seeds r.file s;
-              order := Ids.File.to_int r.file :: !order;
-              s
-          in
-          match r.kind with
-          | Record.Open { is_dir; created; size; _ } ->
-            if is_dir then seed.fdir <- true;
-            if (not created) && seed.fsize = 0 then seed.fsize <- size
-          | Record.Delete { is_dir; _ } -> if is_dir then seed.fdir <- true
-          | Record.Dir_read _ -> seed.fdir <- true
-          | _ -> ()
+  let n = B.length batch in
+  let rec go i last_time =
+    if i = n then Ok last_time
+    else begin
+      let time = B.time batch i in
+      if time < last_time then err "record %d out of time order" i
+      else begin
+        max_client := max !max_client (B.client batch i);
+        max_server := max !max_server (B.server batch i);
+        let file = B.file_id batch i in
+        let seed =
+          match Ids.File.Tbl.find_opt seeds file with
+          | Some s -> s
+          | None ->
+            let s =
+              { fserver = Ids.Server.of_int (B.server batch i); fdir = false; fsize = 0 }
+            in
+            Ids.File.Tbl.add seeds file s;
+            order := Ids.File.to_int file :: !order;
+            s
+        in
+        let tag = B.tag batch i in
+        if tag = B.tag_open then begin
+          if B.is_dir batch i then seed.fdir <- true;
+          if (not (B.created batch i)) && seed.fsize = 0 then seed.fsize <- B.a batch i
         end
-      end)
-    records;
-  match !bad with
-  | Some e -> Error e
-  | None ->
-    let file_seeds =
-      List.rev_map
-        (fun id -> (id, Ids.File.Tbl.find seeds (Ids.File.of_int id)))
-        !order
-    in
-    Ok
-      {
-        n_clients = !max_client + 1;
-        n_servers = !max_server + 1;
-        file_seeds = List.rev file_seeds;
-        last_time = !last_time;
-      }
+        else if (tag = B.tag_delete && B.is_dir batch i) || tag = B.tag_dir_read then
+          seed.fdir <- true;
+        go (i + 1) time
+      end
+    end
+  in
+  let* last_time = go 0 0.0 in
+  let file_seeds =
+    List.rev_map
+      (fun id -> (id, Ids.File.Tbl.find seeds (Ids.File.of_int id)))
+      !order
+  in
+  Ok
+    {
+      n_clients = !max_client + 1;
+      n_servers = !max_server + 1;
+      file_seeds = List.rev file_seeds;
+      last_time;
+    }
 
 (* Per-(client, pid) execution stream.  Each stream runs as one engine
    process; within a stream operations are sequential, so its fd state
@@ -254,9 +255,10 @@ let drive_stream ~cluster ~fs ~files ~applied ~skipped ~synth stream =
             try apply client r with Exit -> incr skipped)
           stream)
 
-let run ?(seed = 7) ?config records =
-  let* () = if records = [] then Error "empty trace: nothing to replay" else Ok () in
-  let* scan = scan_trace records in
+let run ?(seed = 7) ?config batch =
+  let n_records = B.length batch in
+  let* () = if n_records = 0 then Error "empty trace: nothing to replay" else Ok () in
+  let* scan = scan_trace batch in
   let* () =
     if scan.n_clients > max_clients then
       err "trace needs %d clients; replay supports at most %d" scan.n_clients
@@ -303,15 +305,15 @@ let run ?(seed = 7) ?config records =
       in
       Ids.File.Tbl.replace files (Ids.File.of_int id) info)
     scan.file_seeds;
-  (* Partition into per-(client, pid) streams, spawned in sorted key
-     order so the event schedule is a pure function of the trace. *)
+  (* Partition into per-(client, pid) streams of boxed records, spawned
+     in sorted key order so the event schedule is a pure function of the
+     trace. *)
   let streams : (int * int, Record.t list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Record.t) ->
-      let key = (Ids.Client.to_int r.client, Ids.Process.to_int r.pid) in
-      Hashtbl.replace streams key
-        (r :: Option.value ~default:[] (Hashtbl.find_opt streams key)))
-    records;
+  for i = 0 to n_records - 1 do
+    let key = (B.client batch i, B.pid batch i) in
+    Hashtbl.replace streams key
+      (B.get batch i :: Option.value ~default:[] (Hashtbl.find_opt streams key))
+  done;
   let applied = ref 0 and skipped = ref 0 and synth = ref 0 in
   Hashtbl.fold (fun key stream acc -> (key, List.rev stream) :: acc) streams []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -327,7 +329,7 @@ let run ?(seed = 7) ?config records =
   Ok
     ( cluster,
       {
-        records = List.length records;
+        records = n_records;
         applied = !applied;
         skipped = !skipped;
         synthesized_opens = !synth;

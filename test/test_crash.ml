@@ -1,6 +1,6 @@
 (* Crash-safety and integrity tests: Io_retry backoff, Durable atomic
-   replacement, the fsck corruption matrix (bit flips, truncations, v1
-   compat, orphan tmps, unknown files, exit codes), salvage-prefix
+   replacement, the fsck corruption matrix (bit flips, truncations,
+   retired formats, orphan tmps, unknown files, exit codes), salvage-prefix
    properties, and a fork+SIGKILL chaos harness asserting that every
    spill chunk sealed before the kill is bit-identical to the same chunk
    of an uninterrupted run. *)
@@ -193,9 +193,7 @@ let test_durable_replace_retries_transient () =
 
 let write_columnar path batches =
   let oc = open_out_bin path in
-  List.iter
-    (fun (version, b) -> ignore (Segment.write_batch ~version oc b))
-    batches;
+  List.iter (fun b -> ignore (Segment.write_batch oc b)) batches;
   close_out oc
 
 let two_segment_file dir =
@@ -204,21 +202,18 @@ let two_segment_file dir =
   let b2 =
     Record_batch.of_list (List.init 8 (fun i -> nth_record (100 + i)))
   in
-  write_columnar path [ (2, b1); (2, b2) ];
+  write_columnar path [ b1; b2 ];
   (path, Segment.segment_bytes ~count:10)
 
 let test_fsck_clean_all_formats () =
   with_tmpdir (fun dir ->
       let columnar = Filename.concat dir "a.dfsc" in
-      write_columnar columnar [ (2, Record_batch.of_list (records 20)) ];
-      let binary = Filename.concat dir "b.dfsb" in
-      Writer.with_file ~format:Writer.Binary binary (fun w ->
-          List.iter (Writer.write w) (records 20));
+      write_columnar columnar [ Record_batch.of_list (records 20) ];
       let text = Filename.concat dir "c.trace" in
       Writer.with_file ~format:Writer.Text text (fun w ->
           List.iter (Writer.write w) (records 20));
       let verdicts = Fsck.check_paths [ dir ] in
-      Alcotest.(check int) "three files" 3 (List.length verdicts);
+      Alcotest.(check int) "both formats" 2 (List.length verdicts);
       List.iter
         (fun v ->
           Alcotest.(check string)
@@ -296,42 +291,67 @@ let test_fsck_truncation_keeps_sealed_prefix () =
       let b = batch_of_file_exn path in
       Alcotest.(check int) "readable after repair" 10 (Record_batch.length b))
 
+(* The retired formats, as byte images.  A version-1 segment had a
+   64-byte header ("\xD7DFSC\x01\x00\x00", count, length, zero padding)
+   and the same columns as today's segments; a varint binary trace
+   started with "\xD7DFSB\x01".  Neither is a trace any more: fsck must
+   report them unknown and leave them alone. *)
+let v1_segment batch =
+  let v2 = Segment.encode_batch batch in
+  let n = Record_batch.length batch in
+  let columns = String.sub v2 Segment.header_bytes (Segment.bytes_per_record * n) in
+  let len = (64 + String.length columns + 7) land lnot 7 in
+  let b = Bytes.make len '\000' in
+  Bytes.blit_string "\xD7DFSC\x01\x00\x00" 0 b 0 8;
+  Bytes.set_int64_le b 8 (Int64.of_int n);
+  Bytes.set_int64_le b 16 (Int64.of_int len);
+  Bytes.blit_string columns 0 b 64 (String.length columns);
+  Bytes.to_string b
+
+let binary_trace = "\xD7DFSB\x01\x05\x80\x80\x80\x80\x08\x02\x00\x04\x06\x00\xf6\x01"
+
+let check_unknown_untouched path =
+  let before = read_all path in
+  let v = Fsck.check_file ~repair:true path in
+  Alcotest.(check string) (path ^ " unknown") "unknown"
+    (Fsck.status_to_string v.Fsck.status);
+  Alcotest.(check int) (path ^ " exit 1") 1 (Fsck.exit_code [ v ]);
+  Alcotest.(check bool) (path ^ " never modified") true (read_all path = before);
+  (* the readers agree: one line, no records *)
+  match Reader.batch_of_file path with
+  | Ok _ -> Alcotest.failf "%s: read as a trace" path
+  | Error e ->
+    Alcotest.(check bool) (path ^ " one-line diagnostic") false
+      (String.contains e '\n')
+
 let test_fsck_v1_and_mixed_versions () =
   with_tmpdir (fun dir ->
       let v1 = Filename.concat dir "v1.dfsc" in
-      write_columnar v1 [ (1, Record_batch.of_list (records 12)) ];
-      let v = Fsck.check_file v1 in
-      Alcotest.(check string) "v1 clean" "ok"
-        (Fsck.status_to_string v.Fsck.status);
-      Alcotest.(check int) "v1 records" 12 v.Fsck.records;
+      write_all v1 (v1_segment (Record_batch.of_list (records 12)));
+      check_unknown_untouched v1;
+      (* A v1 segment after a current one is damage like any other: the
+         leading segment is the valid prefix. *)
       let mixed = Filename.concat dir "mixed.dfsc" in
-      write_columnar mixed
-        [
-          (2, Record_batch.of_list (records 5));
-          (1, Record_batch.of_list (records 6));
-          (2, Record_batch.of_list (records 7));
-        ];
+      let seg1 = Segment.encode_batch (Record_batch.of_list (records 5)) in
+      write_all mixed
+        (seg1
+        ^ v1_segment (Record_batch.of_list (records 6))
+        ^ Segment.encode_batch (Record_batch.of_list (records 7)));
       let v = Fsck.check_file mixed in
-      Alcotest.(check string) "mixed clean" "ok"
+      Alcotest.(check string) "mixed corrupt" "corrupt"
         (Fsck.status_to_string v.Fsck.status);
-      Alcotest.(check int) "mixed records" 18 v.Fsck.records)
+      Alcotest.(check int) "leading segment kept" 5 v.Fsck.records;
+      Alcotest.(check int) "prefix ends at the v1 segment" (String.length seg1)
+        v.Fsck.valid_bytes)
 
 let test_fsck_binary_truncation () =
   with_tmpdir (fun dir ->
-      let path = Filename.concat dir "t.dfsb" in
-      Writer.with_file ~format:Writer.Binary path (fun w ->
-          List.iter (Writer.write w) (records 50));
-      let full = (Unix.stat path).Unix.st_size in
-      Unix.truncate path (full - 3);
-      let v = Fsck.check_file ~repair:true path in
-      Alcotest.(check string) "repaired" "repaired"
-        (Fsck.status_to_string v.Fsck.status);
-      Alcotest.(check bool) "most records kept" true
-        (v.Fsck.records >= 40 && v.Fsck.records < 50);
-      let v' = Fsck.check_file path in
-      Alcotest.(check string) "clean after repair" "ok"
-        (Fsck.status_to_string v'.Fsck.status);
-      Alcotest.(check int) "stable record count" v.Fsck.records v'.Fsck.records)
+      let whole = Filename.concat dir "t.dfsb" in
+      write_all whole binary_trace;
+      check_unknown_untouched whole;
+      let cut = Filename.concat dir "cut.dfsb" in
+      write_all cut (String.sub binary_trace 0 (String.length binary_trace - 3));
+      check_unknown_untouched cut)
 
 let test_fsck_text_bad_line () =
   with_tmpdir (fun dir ->
@@ -378,7 +398,7 @@ let test_fsck_orphan_tmp_and_unknown () =
 let test_fsck_exit_codes () =
   with_tmpdir (fun dir ->
       let clean = Filename.concat dir "ok.dfsc" in
-      write_columnar clean [ (2, Record_batch.of_list (records 3)) ];
+      write_columnar clean [ Record_batch.of_list (records 3) ];
       let ok = Fsck.check_file clean in
       Alcotest.(check int) "all clean: 0" 0 (Fsck.exit_code [ ok ]);
       let missing = Fsck.check_file (Filename.concat dir "absent.dfsc") in

@@ -2,7 +2,7 @@
    for global invariants, plus the experiment registry. *)
 
 module Cluster = Dfs_sim.Cluster
-module Record = Dfs_trace.Record
+module B = Dfs_trace.Record_batch
 module Ids = Dfs_trace.Ids
 module Bc = Dfs_cache.Block_cache
 
@@ -13,20 +13,29 @@ let shared_run =
      in
      Dfs_workload.Presets.run p)
 
-let trace () = Cluster.merged_trace (fst (Lazy.force shared_run))
+let trace () =
+  Dfs_trace.Sink.to_batch (Cluster.merged_chunks (fst (Lazy.force shared_run)))
 
 let cluster () = fst (Lazy.force shared_run)
 
 let test_trace_nonempty_and_sorted () =
   let t = trace () in
-  Alcotest.(check bool) "records exist" true (List.length t > 100);
-  Alcotest.(check bool) "time sorted" true (Dfs_trace.Merge.is_sorted t)
+  Alcotest.(check bool) "records exist" true (B.length t > 100);
+  for i = 1 to B.length t - 1 do
+    if B.time t (i - 1) > B.time t i then Alcotest.failf "record %d out of order" i
+  done
 
 let test_opens_match_closes () =
   let t = trace () in
-  let count p = List.length (List.filter p t) in
-  let opens = count (fun r -> match r.Record.kind with Record.Open _ -> true | _ -> false) in
-  let closes = count (fun r -> match r.Record.kind with Record.Close _ -> true | _ -> false) in
+  let count tag =
+    let n = ref 0 in
+    for i = 0 to B.length t - 1 do
+      if B.tag t i = tag then incr n
+    done;
+    !n
+  in
+  let opens = count B.tag_open in
+  let closes = count B.tag_close in
   (* sessions cut off at the horizon may leave a few dangling opens *)
   Alcotest.(check bool) "closes <= opens" true (closes <= opens);
   Alcotest.(check bool) "almost balanced" true (opens - closes < 64)
@@ -72,7 +81,7 @@ let test_consistency_actions_only_under_multiclient () =
         (o + k.file_opens, s + k.sharing_opens, r + k.recalls))
       (0, 0, 0) (Cluster.servers c)
   in
-  let replay = Dfs_analysis.Consistency_stats.analyze (Dfs_trace.Record_batch.of_list t) in
+  let replay = Dfs_analysis.Consistency_stats.analyze t in
   let live_opens, live_sharing, live_recalls = live in
   (* the live count includes infrastructure accesses that the merged trace
      scrubs, so replayed counts can be slightly lower, never higher *)
@@ -94,28 +103,27 @@ let test_write_trace_files_and_reanalyze () =
     (fun () ->
       let paths =
         List.mapi
-          (fun i records ->
+          (fun i chunks ->
             let path = Filename.concat dir (Printf.sprintf "s%d.trace" i) in
             Dfs_trace.Writer.with_file path (fun w ->
-                List.iter (Dfs_trace.Writer.write w) records);
+                Dfs_trace.Sink.iter (Dfs_trace.Writer.write w) chunks);
             path)
-          (Cluster.server_traces c)
+          (Cluster.server_chunks c)
       in
-      let streams =
+      let sources =
         List.map
           (fun p ->
-            match Dfs_trace.Reader.of_file p with
-            | Ok rs -> rs
+            match Dfs_trace.Reader.batch_of_file p with
+            | Ok b -> Dfs_trace.Sink.of_batch b
             | Error e -> Alcotest.failf "read %s: %s" p e)
           paths
       in
       let merged =
-        Dfs_trace.Merge.scrub ~self_users:Cluster.self_users
-          (Dfs_trace.Merge.merge streams)
+        Dfs_trace.Merge.merge_chunks ~scrub:Cluster.self_users sources
       in
       Alcotest.(check int) "file roundtrip preserves the trace"
-        (List.length (trace ()))
-        (List.length merged))
+        (B.length (trace ()))
+        (Dfs_trace.Sink.length merged))
 
 let test_experiment_registry () =
   Alcotest.(check int) "16 experiments" 16 (List.length Dfs_core.Experiment.all);

@@ -1,4 +1,4 @@
-(* Tests for Dfs_trace: ids, records, codec, writer/reader, merge, filter. *)
+(* Tests for Dfs_trace: ids, records, codec, writer/reader, merge, segments. *)
 
 open Dfs_trace
 
@@ -95,13 +95,33 @@ let test_codec_bad_input () =
 let records_for_io =
   List.mapi (fun i kind -> mk ~time:(float_of_int i) ~file:i kind) sample_kinds
 
+let to_list b = Array.to_list (Record_batch.to_array b)
+
+let contains_sub ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let encode_trace ~format records =
+  let buf = Buffer.create 4096 in
+  let w = Writer.to_buffer ~format buf in
+  List.iter (Writer.write w) records;
+  Writer.flush w;
+  Buffer.contents buf
+
+let decode_trace s =
+  match Reader.batch_of_string s with
+  | Ok b -> to_list b
+  | Error e -> Alcotest.failf "decode failed: %s" e
+
 let test_writer_reader_buffer () =
   let buf = Buffer.create 256 in
   let w = Writer.to_buffer buf in
   List.iter (Writer.write w) records_for_io;
   Alcotest.(check int) "count" (List.length records_for_io) (Writer.count w);
-  match Reader.of_string (Buffer.contents buf) with
-  | Ok rs ->
+  match Reader.batch_of_string (Buffer.contents buf) with
+  | Ok b ->
+    let rs = to_list b in
     Alcotest.(check int) "all read back" (List.length records_for_io)
       (List.length rs);
     List.iter2
@@ -110,72 +130,138 @@ let test_writer_reader_buffer () =
   | Error e -> Alcotest.failf "reader failed: %s" e
 
 let test_reader_rejects_bad_header () =
-  match Reader.of_string "#not-a-trace\n" with
+  match Reader.batch_of_string "#not-a-trace\n" with
   | Ok _ -> Alcotest.fail "accepted bad header"
   | Error e ->
     Alcotest.(check bool) "mentions header" true
-      (String.length e > 0)
+      (contains_sub ~sub:"header" e)
 
 let test_reader_reports_line () =
   let buf = Buffer.create 64 in
   let w = Writer.to_buffer buf in
   Writer.write w (List.hd records_for_io);
   Buffer.add_string buf "garbage line\n";
-  match Reader.of_string (Buffer.contents buf) with
+  match Reader.batch_of_string (Buffer.contents buf) with
   | Ok _ -> Alcotest.fail "accepted garbage"
   | Error e ->
     Alcotest.(check bool) "line number present" true
       (String.length e >= 6 && String.sub e 0 4 = "line")
 
-let test_file_roundtrip () =
+let with_trace_file records f =
   let path = Filename.temp_file "dfs" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Writer.with_file path (fun w -> List.iter (Writer.write w) records_for_io);
-      match Reader.of_file path with
-      | Ok rs ->
+      Writer.with_file path (fun w -> List.iter (Writer.write w) records);
+      f path)
+
+let test_file_roundtrip () =
+  with_trace_file records_for_io (fun path ->
+      match Reader.batch_of_file path with
+      | Ok b ->
         Alcotest.(check int) "file roundtrip" (List.length records_for_io)
-          (List.length rs)
+          (Record_batch.length b)
       | Error e -> Alcotest.failf "read back failed: %s" e)
 
-let test_fold_file_streaming () =
-  let path = Filename.temp_file "dfs" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Writer.with_file path (fun w -> List.iter (Writer.write w) records_for_io);
-      match Reader.fold_file path ~init:0 ~f:(fun acc _ -> acc + 1) with
-      | Ok n -> Alcotest.(check int) "fold count" (List.length records_for_io) n
-      | Error e -> Alcotest.failf "fold failed: %s" e)
+(* Text files are parsed line by line off the channel: a damaged line
+   stops the parse with its line number, and [Salvage] keeps every
+   record decoded ahead of it. *)
+let test_batch_of_file_text_lines () =
+  with_trace_file records_for_io (fun path ->
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+      output_string oc "garbage line\n";
+      close_out oc;
+      let bad_line = List.length records_for_io + 2 in
+      (match Reader.batch_of_file path with
+      | Ok _ -> Alcotest.fail "accepted garbage"
+      | Error e ->
+        Alcotest.(check bool) "names the damaged line" true
+          (contains_sub ~sub:(Printf.sprintf "line %d:" bad_line) e));
+      match Reader.batch_of_file ~on_corruption:Corruption.Salvage path with
+      | Ok b ->
+        Alcotest.(check bool) "salvaged prefix" true
+          (List.for_all2 Record.equal records_for_io (to_list b))
+      | Error e -> Alcotest.failf "salvage failed: %s" e)
 
 (* -- merge ----------------------------------------------------------------------- *)
+
+(* Rebuild [records] as a chunk stream with the given chunk size, so the
+   merge cursors have to cross chunk boundaries mid-stream. *)
+let chunks_of ?chunk_records ?spill records =
+  let sink = Sink.create ?chunk_records ?spill () in
+  List.iter (Sink.emit sink) records;
+  Sink.close sink
+
+let records_of chunks = to_list (Sink.to_batch chunks)
+
+let merged_list ?scrub sources =
+  records_of (Merge.merge_chunks ?scrub (List.map (fun s -> chunks_of s) sources))
+
+let rec is_sorted = function
+  | [] | [ _ ] -> true
+  | a :: (b :: _ as rest) -> (a : Record.t).time <= b.time && is_sorted rest
+
+(* Reference model for the streaming merge: a boxed-list k-way merge
+   over a heap of (head, tail) cursors ordered by [Record.compare_time],
+   making the same heap operations in the same order as
+   [Merge.merge_iter], so ties resolve identically. *)
+module Ref_cursor = struct
+  type t = Sentinel | Live of Record.t * Record.t list
+
+  let compare a b =
+    match (a, b) with
+    | Live (a, _), Live (b, _) -> Record.compare_time a b
+    | Sentinel, _ | _, Sentinel -> invalid_arg "Ref_cursor.compare: sentinel"
+
+  let dummy = Sentinel
+end
+
+module Ref_heap = Dfs_util.Heap.Make (Ref_cursor)
+
+let list_merge streams =
+  let heap = Ref_heap.create () in
+  List.iter
+    (function [] -> () | r :: rest -> Ref_heap.push heap (Ref_cursor.Live (r, rest)))
+    streams;
+  let rec go acc =
+    match Ref_heap.pop heap with
+    | None -> List.rev acc
+    | Some Ref_cursor.Sentinel -> invalid_arg "list_merge: sentinel popped"
+    | Some (Ref_cursor.Live (r, rest)) ->
+      (match rest with
+      | [] -> ()
+      | r' :: rest' -> Ref_heap.push heap (Ref_cursor.Live (r', rest')));
+      go (r :: acc)
+  in
+  go []
+
+let list_scrub ~self_users records =
+  List.filter (fun (r : Record.t) -> not (Ids.User.Set.mem r.user self_users)) records
 
 let test_merge_two_streams () =
   let s0 = [ mk ~time:1.0 ~server:0 (Record.Dir_read { bytes = 1 });
              mk ~time:3.0 ~server:0 (Record.Dir_read { bytes = 1 }) ] in
   let s1 = [ mk ~time:2.0 ~server:1 (Record.Dir_read { bytes = 1 });
              mk ~time:4.0 ~server:1 (Record.Dir_read { bytes = 1 }) ] in
-  let merged = Merge.merge [ s0; s1 ] in
+  let merged = merged_list [ s0; s1 ] in
   Alcotest.(check (list (float 0.0))) "interleaved"
     [ 1.0; 2.0; 3.0; 4.0 ]
     (List.map (fun (r : Record.t) -> r.time) merged);
-  Alcotest.(check bool) "sorted" true (Merge.is_sorted merged)
+  Alcotest.(check bool) "sorted" true (is_sorted merged)
 
 let test_merge_tie_break () =
   let a = mk ~time:1.0 ~server:1 (Record.Dir_read { bytes = 1 }) in
   let b = mk ~time:1.0 ~server:0 (Record.Dir_read { bytes = 2 }) in
-  let merged = Merge.merge [ [ a ]; [ b ] ] in
   (* server 0 first on equal timestamps *)
-  match merged with
+  match merged_list [ [ a ]; [ b ] ] with
   | [ first; second ] ->
     Alcotest.(check int) "server 0 first" 0 (Ids.Server.to_int first.server);
     Alcotest.(check int) "server 1 second" 1 (Ids.Server.to_int second.server)
   | _ -> Alcotest.fail "wrong length"
 
 let test_merge_empty_streams () =
-  Alcotest.(check int) "no streams" 0 (List.length (Merge.merge []));
-  Alcotest.(check int) "empty streams" 0 (List.length (Merge.merge [ []; [] ]))
+  Alcotest.(check int) "no streams" 0 (List.length (merged_list []));
+  Alcotest.(check int) "empty streams" 0 (List.length (merged_list [ []; [] ]))
 
 let test_scrub () =
   let daemon = 9000 in
@@ -187,9 +273,7 @@ let test_scrub () =
     ]
   in
   let scrubbed =
-    Merge.scrub
-      ~self_users:(Ids.User.Set.singleton (Ids.User.of_int daemon))
-      records
+    merged_list ~scrub:(Ids.User.Set.singleton (Ids.User.of_int daemon)) [ records ]
   in
   Alcotest.(check int) "daemon removed" 2 (List.length scrubbed);
   Alcotest.(check bool) "others kept" true
@@ -198,13 +282,6 @@ let test_scrub () =
        scrubbed)
 
 (* -- streaming merge over chunks ------------------------------------------------- *)
-
-(* Rebuild [records] as a chunk stream with the given chunk size, so the
-   merge cursors have to cross chunk boundaries mid-stream. *)
-let chunks_of ?chunk_records ?spill records =
-  let sink = Sink.create ?chunk_records ?spill () in
-  List.iter (Sink.emit sink) records;
-  Sink.close sink
 
 let check_same_records msg expected actual =
   Alcotest.(check int) (msg ^ ": length") (List.length expected)
@@ -222,15 +299,15 @@ let test_merge_chunks_empty () =
   (* one empty source among non-empty ones must not derail the merge *)
   let live = [ mk ~time:1.0 (Record.Dir_read { bytes = 1 }) ] in
   check_same_records "empty among live" live
-    (Sink.to_records (Merge.merge_chunks [ chunks_of []; chunks_of live ]))
+    (records_of (Merge.merge_chunks [ chunks_of []; chunks_of live ]))
 
 let merge_both_ways ~chunk_records sources =
-  let expected = Merge.merge sources in
+  let expected = list_merge sources in
   let streamed =
     Merge.merge_chunks ~chunk_records
       (List.map (chunks_of ~chunk_records) sources)
   in
-  (expected, Sink.to_records streamed)
+  (expected, records_of streamed)
 
 let interleaved_source server =
   List.init 10 (fun i ->
@@ -263,13 +340,12 @@ let test_merge_chunks_scrub () =
   in
   let sources = [ src 0; src 1 ] in
   let self_users = Ids.User.Set.singleton (Ids.User.of_int daemon) in
-  let expected = Merge.scrub ~self_users (Merge.merge sources) in
+  let expected = list_scrub ~self_users (list_merge sources) in
   let streamed =
     Merge.merge_chunks ~chunk_records:2 ~scrub:self_users
       (List.map (chunks_of ~chunk_records:2) sources)
   in
-  check_same_records "scrub while streaming" expected
-    (Sink.to_records streamed)
+  check_same_records "scrub while streaming" expected (records_of streamed)
 
 let temp_spill_dir () =
   (* temp_file gives us a unique path; the sink creates the directory. *)
@@ -298,188 +374,71 @@ let test_merge_chunks_spill_roundtrip () =
       chunked
   in
   Alcotest.(check bool) "output spilled" true (Sink.spilled_count merged > 0);
-  let expected = Merge.merge sources in
-  check_same_records "spill roundtrip" expected (Sink.to_records merged);
+  let expected = list_merge sources in
+  check_same_records "spill roundtrip" expected (records_of merged);
   (* replayable: a second traversal re-reads the on-disk segments *)
-  check_same_records "second traversal" expected (Sink.to_records merged);
+  check_same_records "second traversal" expected (records_of merged);
   List.iter Sink.discard chunked;
   Sink.discard merged;
   Alcotest.(check (list string)) "segments deleted" []
     (Array.to_list (Sys.readdir dir));
   Sys.rmdir dir
 
-(* -- filter ---------------------------------------------------------------------- *)
+(* -- retired formats -------------------------------------------------------------- *)
 
-let test_filter_by_time () =
-  let rs =
-    List.map (fun t -> mk ~time:t (Record.Dir_read { bytes = 1 })) [ 0.0; 1.0; 2.0; 3.0 ]
+(* The varint binary format (magic "\xD7DFSB\x01") is retired: a file
+   in it is not a trace, and the reader says so in one short line —
+   quoting only the start of a long first "line" — instead of decoding
+   it. *)
+let test_binary_rejects_bad_magic () =
+  let binary =
+    "\xD7DFSB\x01\x05\x80\x80\x80\x80\x08\x02\x00\x04\x06\x00\xf6\x01"
   in
-  Alcotest.(check int) "half-open window" 2
-    (List.length (Filter.by_time ~lo:1.0 ~hi:3.0 rs))
+  List.iter
+    (fun s ->
+      match Reader.batch_of_string s with
+      | Ok _ -> Alcotest.fail "binary trace accepted"
+      | Error e ->
+        Alcotest.(check bool) "not a trace" true (contains_sub ~sub:"not a trace" e);
+        Alcotest.(check bool) "one short line" true
+          ((not (String.contains e '\n')) && String.length e < 200))
+    [ binary; binary ^ String.make 100_000 'x' ]
 
-let test_filter_users () =
-  let rs = List.map (fun u -> mk ~user:u (Record.Dir_read { bytes = 1 })) [ 1; 2; 3 ] in
-  let set = Ids.User.Set.singleton (Ids.User.of_int 2) in
-  Alcotest.(check int) "by_users" 1 (List.length (Filter.by_users set rs));
-  Alcotest.(check int) "excluding" 2 (List.length (Filter.excluding_users set rs))
-
-let test_filter_migrated () =
-  let rs =
-    [ mk ~migrated:true (Record.Dir_read { bytes = 1 });
-      mk ~migrated:false (Record.Dir_read { bytes = 1 }) ]
-  in
-  Alcotest.(check int) "migrated only" 1 (List.length (Filter.migrated_only rs))
-
-let test_filter_files_only () =
-  let dir_open =
-    mk ~time:0.0 ~file:1
-      (Record.Open
-         { mode = Record.Read_only; created = false; is_dir = true; size = 64; start_pos = 0 })
-  in
-  let dir_readrec = mk ~time:0.5 ~file:1 (Record.Dir_read { bytes = 64 }) in
-  let dir_close =
-    mk ~time:1.0 ~file:1
-      (Record.Close { size = 64; final_pos = 64; bytes_read = 64; bytes_written = 0 })
-  in
-  let file_open =
-    mk ~time:2.0 ~file:2
-      (Record.Open
-         { mode = Record.Read_only; created = false; is_dir = false; size = 10; start_pos = 0 })
-  in
-  let file_close =
-    mk ~time:3.0 ~file:2
-      (Record.Close { size = 10; final_pos = 10; bytes_read = 10; bytes_written = 0 })
-  in
-  let dir_delete = mk ~time:4.0 ~file:1 (Record.Delete { size = 0; is_dir = true }) in
-  let kept =
-    Filter.files_only
-      [ dir_open; dir_readrec; dir_close; file_open; file_close; dir_delete ]
-  in
-  Alcotest.(check int) "only the file open/close survive" 2 (List.length kept);
-  Alcotest.(check bool) "all on file 2" true
-    (List.for_all (fun (r : Record.t) -> Ids.File.to_int r.file = 2) kept)
-
-let test_filter_duration () =
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (Filter.duration []);
-  let rs =
-    List.map (fun t -> mk ~time:t (Record.Dir_read { bytes = 1 })) [ 1.0; 2.0; 5.0 ]
-  in
-  Alcotest.(check (float 1e-9)) "span" 4.0 (Filter.duration rs)
-
-(* -- binary codec ------------------------------------------------------------------ *)
-
-let contains_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
-let encode_trace ~format records =
-  let buf = Buffer.create 4096 in
-  let w = Writer.to_buffer ~format buf in
-  List.iter (Writer.write w) records;
-  Writer.flush w;
-  Buffer.contents buf
-
-let decode_trace s =
-  match Reader.of_string s with
-  | Ok rs -> rs
-  | Error e -> Alcotest.failf "decode failed: %s" e
-
-let test_binary_roundtrip_all_kinds () =
-  let back = decode_trace (encode_trace ~format:Writer.Binary records_for_io) in
-  Alcotest.(check int) "count" (List.length records_for_io) (List.length back);
-  List.iter2
-    (fun a b ->
-      Alcotest.(check bool) "record equal (incl. exact time)" true
-        (Record.equal a b))
-    records_for_io back
-
-let test_binary_roundtrip_presets () =
-  (* Round-trip the merged trace of all eight presets through both codecs;
-     the decoded batches must agree record for record, and the analyses on
-     them must be indistinguishable. *)
+(* Round-trip the merged trace of all eight presets through both
+   formats.  Columnar is bit-exact; once times have gone through the
+   text codec's %.6f quantization, the two formats carry identical data
+   and every analysis agrees. *)
+let test_text_columnar_agree_presets () =
   List.iter
     (fun n ->
       let p = Dfs_workload.Presets.scaled (Dfs_workload.Presets.trace n) ~factor:0.002 in
       let cluster, _ = Dfs_workload.Presets.run p in
-      let records = Dfs_sim.Cluster.merged_trace cluster in
+      let batch = Sink.to_batch (Dfs_sim.Cluster.merged_chunks cluster) in
+      let records = to_list batch in
+      let columnar = encode_trace ~format:Writer.Columnar records in
+      Alcotest.(check bool)
+        (Printf.sprintf "trace%d: columnar roundtrip exact" n)
+        true
+        (Record_batch.equal batch (Record_batch.of_list (decode_trace columnar)));
       let text = encode_trace ~format:Writer.Text records in
-      let binary = encode_trace ~format:Writer.Binary records in
-      Alcotest.(check bool)
-        (Printf.sprintf "trace%d: binary is smaller" n)
-        true
-        (String.length binary < String.length text);
-      (* the binary codec must reproduce the raw simulated records
-         bit-for-bit, times included *)
-      let from_binary = decode_trace binary in
-      Alcotest.(check bool)
-        (Printf.sprintf "trace%d: binary roundtrip exact" n)
-        true
-        (List.length from_binary = List.length records
-        && List.for_all2 Record.equal records from_binary);
-      (* once times have gone through the text codec's %.6f quantization,
-         the two formats carry identical data and every analysis agrees *)
-      let quantized = decode_trace text in
-      let requantized = decode_trace (encode_trace ~format:Writer.Binary quantized) in
       let bt =
         match Reader.batch_of_string text with
         | Ok b -> b
         | Error e -> Alcotest.failf "trace%d text: %s" n e
       in
+      let requantized =
+        Record_batch.of_list (decode_trace (encode_trace ~format:Writer.Columnar (to_list bt)))
+      in
       Alcotest.(check bool)
         (Printf.sprintf "trace%d: batches equal across formats" n)
         true
-        (Record_batch.equal bt (Record_batch.of_list requantized));
-      let st = Dfs_analysis.Trace_stats.of_batch bt
-      and sb =
-        Dfs_analysis.Trace_stats.of_batch (Record_batch.of_list requantized)
-      in
+        (Record_batch.equal bt requantized);
       Alcotest.(check bool)
         (Printf.sprintf "trace%d: analysis equal across formats" n)
-        true (st = sb))
+        true
+        (Dfs_analysis.Trace_stats.of_batch bt
+        = Dfs_analysis.Trace_stats.of_batch requantized))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-
-let test_binary_rejects_truncation () =
-  let s = encode_trace ~format:Writer.Binary records_for_io in
-  List.iter
-    (fun k ->
-      match Reader.of_string (String.sub s 0 k) with
-      | Ok _ -> Alcotest.failf "accepted %d-byte prefix" k
-      | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "prefix %d reports truncation" k)
-          true
-          (contains_sub ~sub:"truncated" e
-          || contains_sub ~sub:"malformed" e))
-    [ 7; 10; String.length s - 1 ]
-
-let test_binary_rejects_bad_magic () =
-  let s = encode_trace ~format:Writer.Binary records_for_io in
-  (* bump the version byte: not recognized as binary v1, not a text header *)
-  let bad = Bytes.of_string s in
-  Bytes.set bad 5 '\x02';
-  (match Binary_codec.decode_string (Bytes.to_string bad) with
-  | Ok _ -> Alcotest.fail "accepted bad version byte"
-  | Error e ->
-    Alcotest.(check bool) "mentions magic" true
-      (contains_sub ~sub:"magic" e));
-  match Reader.of_string (Bytes.to_string bad) with
-  | Ok _ -> Alcotest.fail "reader accepted bad version byte"
-  | Error _ -> ()
-
-let test_binary_rejects_malformed_tag () =
-  (* 0xFF sets flag bits no kind allows; 0x30 is an open with mode bits 3 *)
-  List.iter
-    (fun tag ->
-      let s = Binary_codec.magic ^ String.make 1 (Char.chr tag) in
-      match Binary_codec.decode_string s with
-      | Ok _ -> Alcotest.failf "accepted tag 0x%02x" tag
-      | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "tag 0x%02x reports malformed" tag)
-          true
-          (contains_sub ~sub:"malformed tag" e))
-    [ 0xFF; 0x30 ]
 
 (* -- columnar segments --------------------------------------------------------- *)
 
@@ -491,16 +450,16 @@ let with_mmap enabled f =
       Unix.putenv "DFS_MMAP" (Option.value ~default:"" prev))
     f
 
-let write_segment_file records =
+let write_temp_file s =
   let path = Filename.temp_file "dfs" ".dfsc" in
   let oc = open_out_bin path in
-  ignore (Segment.write_batch oc (Record_batch.of_list records));
+  output_string oc s;
   close_out oc;
   path
 
 let test_segment_writer_roundtrip () =
   (* the columnar writer format: exact on any float time (raw IEEE-754
-     bits, like the binary codec) *)
+     bits) *)
   let s = encode_trace ~format:Writer.Columnar records_for_io in
   Alcotest.(check bool) "sniffs as a segment file" true (Segment.is_segment s);
   let back = decode_trace s in
@@ -527,9 +486,8 @@ let test_segment_mmap_roundtrip_presets () =
         Dfs_workload.Presets.scaled (Dfs_workload.Presets.trace n) ~factor:0.002
       in
       let cluster, _ = Dfs_workload.Presets.run p in
-      let records = Dfs_sim.Cluster.merged_trace cluster in
-      let expected = Record_batch.of_list records in
-      let path = write_segment_file records in
+      let expected = Sink.to_batch (Dfs_sim.Cluster.merged_chunks cluster) in
+      let path = write_temp_file (Segment.encode_batch expected) in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
@@ -550,23 +508,19 @@ let test_segment_mmap_roundtrip_presets () =
             (Record_batch.equal expected copied)))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
-let segment_read_both_paths s =
+let segment_read_both_paths ?on_corruption s =
   (* exercise the string (copy) decoder and the file reader on both
-     paths; all three must agree on acceptance *)
-  let path = Filename.temp_file "dfs" ".dfsc" in
+     paths; all three must agree *)
+  let path = write_temp_file s in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out_bin path in
-      output_string oc s;
-      close_out oc;
-      let of_str = Segment.batch_of_string s in
-      let mapped = with_mmap true (fun () -> Segment.batch_of_file path) in
-      let copied = with_mmap false (fun () -> Segment.batch_of_file path) in
-      (of_str, mapped, copied))
+      let of_str = Segment.batch_of_string ?on_corruption s in
+      let mapped = with_mmap true (fun () -> Reader.batch_of_file ?on_corruption path) in
+      let copied = with_mmap false (fun () -> Reader.batch_of_file ?on_corruption path) in
+      [ ("of_string", of_str); ("mmap", mapped); ("copy", copied) ])
 
 let check_segment_rejected ~what ~needle s =
-  let of_str, mapped, copied = segment_read_both_paths s in
   List.iter
     (fun (label, r) ->
       match r with
@@ -575,8 +529,11 @@ let check_segment_rejected ~what ~needle s =
         Alcotest.(check bool)
           (Printf.sprintf "%s: %s mentions %S" what label needle)
           true
-          (contains_sub ~sub:needle e))
-    [ ("of_string", of_str); ("mmap", mapped); ("copy", copied) ]
+          (contains_sub ~sub:needle e);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s one line" what label)
+          false (String.contains e '\n'))
+    (segment_read_both_paths s)
 
 let test_segment_rejects_truncation () =
   let s = Segment.encode_batch (Record_batch.of_list records_for_io) in
@@ -586,46 +543,105 @@ let test_segment_rejects_truncation () =
   check_segment_rejected ~what:"column cut" ~needle:"truncated"
     (String.sub s 0 (String.length s - 1))
 
+let structural_error s =
+  match (Segment.scan_string ~verify:false s).Segment.error with
+  | Some e -> e.Segment.reason
+  | None -> Alcotest.fail "accepted without verification"
+
 let test_segment_rejects_misalignment () =
-  (* On v2 any poked header field trips the header checksum before the
+  (* Any poked header field trips the header checksum before the
      structural checks even run. *)
   let s = Segment.encode_batch (Record_batch.of_list records_for_io) in
-  let bad = Bytes.of_string s in
-  Bytes.set_int64_le bad 16 (Int64.of_int (String.length s - 3));
-  check_segment_rejected ~what:"bad length v2" ~needle:"header checksum"
-    (Bytes.to_string bad);
-  let bad = Bytes.of_string s in
-  Bytes.set_int64_le bad 8 (-1L);
-  check_segment_rejected ~what:"negative count v2" ~needle:"header checksum"
-    (Bytes.to_string bad);
-  (* v1 has no checksums, so the same pokes must still be caught by the
-     structural extent/alignment checks. *)
-  let s1 = Segment.encode_batch ~version:1 (Record_batch.of_list records_for_io) in
-  let bad = Bytes.of_string s1 in
-  Bytes.set_int64_le bad 16 (Int64.of_int (String.length s1 - 3));
-  check_segment_rejected ~what:"bad length v1" ~needle:"misaligned"
-    (Bytes.to_string bad);
-  let bad = Bytes.of_string s1 in
-  Bytes.set_int64_le bad 8 (-1L);
-  check_segment_rejected ~what:"negative count v1" ~needle:"record count"
-    (Bytes.to_string bad)
+  let bad_length = Bytes.of_string s in
+  Bytes.set_int64_le bad_length 16 (Int64.of_int (String.length s - 3));
+  check_segment_rejected ~what:"bad length" ~needle:"header checksum"
+    (Bytes.to_string bad_length);
+  let bad_count = Bytes.of_string s in
+  Bytes.set_int64_le bad_count 8 (-1L);
+  check_segment_rejected ~what:"negative count" ~needle:"header checksum"
+    (Bytes.to_string bad_count);
+  (* Without checksum verification the same pokes must still be caught
+     by the structural extent/alignment checks. *)
+  Alcotest.(check bool) "bad length unverified" true
+    (contains_sub ~sub:"misaligned" (structural_error (Bytes.to_string bad_length)));
+  Alcotest.(check bool) "negative count unverified" true
+    (contains_sub ~sub:"record count" (structural_error (Bytes.to_string bad_count)))
+
+(* Recompute every column checksum, then the header checksum, of the
+   single segment in [b], so a deliberately poked value gets past the
+   CRCs to the checks behind them. *)
+let reseal b =
+  let n = Int64.to_int (Bytes.get_int64_le b 8) in
+  let crc ~pos ~len = Dfs_util.Crc32c.string_sub (Bytes.to_string b) ~pos ~len in
+  let off = ref Segment.header_bytes in
+  List.iteri
+    (fun i width ->
+      let len = width * n in
+      Bytes.set_int32_le b (28 + (4 * i)) (Int32.of_int (crc ~pos:!off ~len));
+      off := !off + len)
+    [ 8; 4; 4; 4; 4; 4; 4; 4; 4; 4; 1 ];
+  Bytes.set_int32_le b 24 0l;
+  Bytes.set_int32_le b 24
+    (Int32.of_int (crc ~pos:0 ~len:Segment.header_bytes))
 
 let test_segment_rejects_malformed_tag () =
-  let records = records_for_io in
-  let n = List.length records in
+  let n = List.length records_for_io in
   (* tags column starts at header + 44n; 0xFF sets flag bits no kind
-     allows.  On v2 the column checksum catches the flip first; on v1
-     the per-record tag check is the only line of defense. *)
-  let s = Segment.encode_batch (Record_batch.of_list records) in
-  let bad = Bytes.of_string s in
+     allows.  The column checksum catches the flip first... *)
+  let bad = Bytes.of_string (Segment.encode_batch (Record_batch.of_list records_for_io)) in
   Bytes.set bad (Segment.header_bytes + (44 * n)) '\xFF';
-  check_segment_rejected ~what:"bad tag v2" ~needle:"column tags"
+  check_segment_rejected ~what:"bad tag" ~needle:"column tags"
     (Bytes.to_string bad);
-  let s1 = Segment.encode_batch ~version:1 (Record_batch.of_list records) in
-  let bad = Bytes.of_string s1 in
-  Bytes.set bad (Segment.header_bytes_v1 + (44 * n)) '\xFF';
-  check_segment_rejected ~what:"bad tag v1" ~needle:"malformed tag"
+  (* ...and behind valid checksums the tag check itself rejects it. *)
+  reseal bad;
+  check_segment_rejected ~what:"resealed bad tag" ~needle:"malformed tag"
     (Bytes.to_string bad)
+
+(* A clean leading segment followed by a CRC-valid segment whose record
+   [i] had one value poked by [poke b ~n ~i]. *)
+let poked_trace poke =
+  let segment () = Segment.encode_batch (Record_batch.of_list records_for_io) in
+  let bad = Bytes.of_string (segment ()) in
+  poke bad ~n:(List.length records_for_io) ~i:2;
+  reseal bad;
+  segment () ^ Bytes.to_string bad
+
+(* Under [Fail] every read path gives a one-line diagnostic; under
+   [Salvage] each keeps the clean leading segment and counts the
+   incident. *)
+let check_invalid_value ~what ~needle s =
+  check_segment_rejected ~what ~needle s;
+  let detected = Corruption.detected () in
+  List.iter
+    (fun (label, r) ->
+      match r with
+      | Ok b ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s salvages the leading segment" what label)
+          true
+          (List.for_all2 Record.equal records_for_io (to_list b))
+      | Error e -> Alcotest.failf "%s: %s salvage failed: %s" what label e)
+    (segment_read_both_paths ~on_corruption:Corruption.Salvage s);
+  Alcotest.(check int) (what ^ ": incidents counted") (detected + 3)
+    (Corruption.detected ())
+
+let user_column n = Segment.header_bytes + (8 * n) + (4 * n * 2)
+
+let test_segment_rejects_negative_id () =
+  check_invalid_value ~what:"negative user id" ~needle:"invalid user id -5"
+    (poked_trace (fun b ~n ~i -> Bytes.set_int32_le b (user_column n + (4 * i)) (-5l)))
+
+let test_segment_rejects_bad_time () =
+  List.iter
+    (fun t ->
+      check_invalid_value
+        ~what:(Printf.sprintf "time %g" t)
+        ~needle:"invalid time"
+        (poked_trace (fun b ~n:_ ~i ->
+             Bytes.set_int64_le b
+               (Segment.header_bytes + (8 * i))
+               (Int64.bits_of_float t))))
+    [ Float.nan; Float.infinity; -1.0 ]
 
 (* -- properties -------------------------------------------------------------------- *)
 
@@ -663,8 +679,12 @@ let prop_codec_roundtrip =
     arb_full_record (fun r ->
       match Codec.decode (Codec.encode r) with
       | Ok r' ->
-        (* times survive to microsecond precision... *)
-        Float.abs (r'.time -. r.time) <= 5e-7
+        (* times survive to microsecond precision: the [%.6f] decimal
+           is within 5e-7 of the exact double, and [float_of_string]
+           then rounds that decimal to the nearest double, adding up to
+           half an ulp (at most 0.26 ulp over 20M random times in
+           [0, 1e6)).  One ulp of the original time covers it... *)
+        Float.abs (r'.time -. r.time) <= 5e-7 +. (Float.succ r.time -. r.time)
         (* ...and everything else must be untouched *)
         && Record.equal { r with time = r'.time } r'
       | Error _ -> false)
@@ -680,16 +700,6 @@ let prop_text_codec_exact_on_quantized =
       match Codec.decode (Codec.encode quantized) with
       | Ok r' -> Record.equal quantized r'
       | Error _ -> false)
-
-(* The binary codec stores the raw IEEE-754 bits, so it is exact on ANY
-   time, quantized or not. *)
-let prop_binary_codec_exact =
-  QCheck.Test.make ~name:"binary codec exact on random traces" ~count:100
-    QCheck.(list_of_size Gen.(0 -- 40) arb_full_record)
-    (fun rs ->
-      (* order is preserved as written — no sort, the codec must not care *)
-      let back = decode_trace (encode_trace ~format:Writer.Binary rs) in
-      List.length back = List.length rs && List.for_all2 Record.equal rs back)
 
 (* The Bigarray-backed batch must read back exactly what the boxed
    records said, through both the bounds-checked and the unsafe
@@ -741,6 +751,79 @@ let prop_segment_roundtrip_exact =
         && List.for_all2 Record.equal rs
              (Array.to_list (Record_batch.to_array b)))
 
+(* A raw columnar record: time, the five ids, a well-formed tag byte and
+   the four payload columns, with hostile values mixed in. *)
+type raw = { time : float; ids : int array; raw_tag : int; payload : int array }
+
+let gen_raw =
+  QCheck.Gen.(
+    let value =
+      frequency [ (30, int_bound 5000); (1, oneofl [ -1; -5; -0x8000_0000; 0x7FFF_FFFF ]) ]
+    in
+    let time =
+      frequency
+        [ (30, float_bound_inclusive 1e6);
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -1.0; -0.0 ]) ]
+    in
+    let tag =
+      map
+        (fun (kind, migrated, (mode, created, is_dir)) ->
+          let flags =
+            if kind = Record_batch.tag_open then
+              (mode lsl 4) lor (if created then 0x40 else 0) lor if is_dir then 0x80 else 0
+            else if kind = Record_batch.tag_delete && is_dir then 0x80
+            else 0
+          in
+          kind lor (if migrated then 0x08 else 0) lor flags)
+        (triple (int_bound 7) bool (triple (int_bound 2) bool bool))
+    in
+    map
+      (fun (time, (ids, payload), raw_tag) -> { time; ids; raw_tag; payload })
+      (triple time (pair (array_size (return 5) value) (array_size (return 4) value)) tag))
+
+let batch_of_raws raws =
+  let n = Array.length raws in
+  let col kind f =
+    let c = Bigarray.Array1.create kind Bigarray.c_layout n in
+    Array.iteri (fun i r -> Bigarray.Array1.set c i (f r)) raws;
+    c
+  in
+  let i32 f = col Bigarray.int32 (fun r -> Int32.of_int (f r)) in
+  Record_batch.of_columns ~len:n
+    ~times:(col Bigarray.float64 (fun r -> r.time))
+    ~servers:(i32 (fun r -> r.ids.(0)))
+    ~clients:(i32 (fun r -> r.ids.(1)))
+    ~users:(i32 (fun r -> r.ids.(2)))
+    ~pids:(i32 (fun r -> r.ids.(3)))
+    ~files:(i32 (fun r -> r.ids.(4)))
+    ~tags:(col Bigarray.int8_unsigned (fun r -> r.raw_tag))
+    ~col_a:(i32 (fun r -> r.payload.(0)))
+    ~col_b:(i32 (fun r -> r.payload.(1)))
+    ~col_c:(i32 (fun r -> r.payload.(2)))
+    ~col_d:(i32 (fun r -> r.payload.(3)))
+
+(* The model: ids are checked non-negative before boxing (a [Record.t]
+   cannot hold a negative id), then [Record.validate] decides. *)
+let raw_valid r =
+  Array.for_all (fun v -> v >= 0) r.ids
+  && Result.is_ok
+       (Record.validate
+          (mk ~time:r.time ~server:r.ids.(0) ~client:r.ids.(1) ~user:r.ids.(2)
+             ~pid:r.ids.(3) ~file:r.ids.(4)
+             ~migrated:(r.raw_tag land 0x08 <> 0)
+             (Record_batch.unpack_kind ~raw_tag:r.raw_tag ~a:r.payload.(0)
+                ~b:r.payload.(1) ~c:r.payload.(2) ~d:r.payload.(3))))
+
+(* The columnar reader's in-place value check accepts a segment exactly
+   when [Record.validate] accepts every record in it. *)
+let prop_segment_check_matches_validate =
+  QCheck.Test.make ~name:"segment value check agrees with Record.validate"
+    ~count:300
+    QCheck.(make Gen.(array_size (0 -- 8) gen_raw))
+    (fun raws ->
+      let s = Segment.encode_batch (batch_of_raws raws) in
+      Result.is_ok (Segment.batch_of_string s) = Array.for_all raw_valid raws)
+
 let prop_merge_sorted =
   QCheck.Test.make ~name:"merge output is time-sorted" ~count:100
     QCheck.(
@@ -749,14 +832,14 @@ let prop_merge_sorted =
         (list_of_size Gen.(0 -- 30) arb_record))
     (fun (a, b) ->
       let sort l = List.sort Record.compare_time l in
-      let merged = Merge.merge [ sort a; sort b ] in
-      Merge.is_sorted merged
+      let merged = merged_list [ sort a; sort b ] in
+      is_sorted merged
       && List.length merged = List.length a + List.length b)
 
-(* The streaming chunked merge must agree with the in-memory list merge
-   record-for-record for any chunk size — including timestamp ties, which
-   both sides resolve by server id and then by an identical sequence of
-   heap operations. *)
+(* The streaming chunked merge must agree with the boxed-list reference
+   merge record-for-record for any chunk size — including timestamp
+   ties, which both sides resolve by server id and then by an identical
+   sequence of heap operations. *)
 let prop_merge_chunks_equiv =
   QCheck.Test.make ~name:"streaming merge equals in-memory merge" ~count:100
     QCheck.(
@@ -765,9 +848,9 @@ let prop_merge_chunks_equiv =
         (int_range 1 5))
     (fun (sources, chunk_records) ->
       let sources = List.map (List.sort Record.compare_time) sources in
-      let expected = Merge.merge sources in
+      let expected = list_merge sources in
       let streamed =
-        Sink.to_records
+        records_of
           (Merge.merge_chunks ~chunk_records
              (List.map (chunks_of ~chunk_records) sources))
       in
@@ -779,9 +862,9 @@ let qcheck_tests =
     [
       prop_codec_roundtrip;
       prop_text_codec_exact_on_quantized;
-      prop_binary_codec_exact;
       prop_batch_columns_match_boxed;
       prop_segment_roundtrip_exact;
+      prop_segment_check_matches_validate;
       prop_merge_sorted;
       prop_merge_chunks_equiv;
     ]
@@ -798,7 +881,7 @@ let suite =
     ("reader rejects bad header", `Quick, test_reader_rejects_bad_header);
     ("reader reports line numbers", `Quick, test_reader_reports_line);
     ("file roundtrip", `Quick, test_file_roundtrip);
-    ("fold_file streaming", `Quick, test_fold_file_streaming);
+    ("batch_of_file reads text line by line", `Quick, test_batch_of_file_text_lines);
     ("merge two streams", `Quick, test_merge_two_streams);
     ("merge tie-break", `Quick, test_merge_tie_break);
     ("merge empty", `Quick, test_merge_empty_streams);
@@ -808,21 +891,16 @@ let suite =
     ("merge_chunks single-record chunks", `Quick, test_merge_chunks_single_record_chunks);
     ("merge_chunks streaming scrub", `Quick, test_merge_chunks_scrub);
     ("merge_chunks spill roundtrip", `Quick, test_merge_chunks_spill_roundtrip);
-    ("filter by time", `Quick, test_filter_by_time);
-    ("filter users", `Quick, test_filter_users);
-    ("filter migrated", `Quick, test_filter_migrated);
-    ("filter files_only", `Quick, test_filter_files_only);
-    ("filter duration", `Quick, test_filter_duration);
-    ("binary roundtrip all kinds", `Quick, test_binary_roundtrip_all_kinds);
-    ("binary roundtrip all presets", `Slow, test_binary_roundtrip_presets);
-    ("binary rejects truncation", `Quick, test_binary_rejects_truncation);
     ("binary rejects bad magic", `Quick, test_binary_rejects_bad_magic);
-    ("binary rejects malformed tag", `Quick, test_binary_rejects_malformed_tag);
+    ("text and columnar agree on all presets", `Slow, test_text_columnar_agree_presets);
     ("segment writer roundtrip", `Quick, test_segment_writer_roundtrip);
     ("segment mmap roundtrip all presets", `Slow,
       test_segment_mmap_roundtrip_presets);
     ("segment rejects truncation", `Quick, test_segment_rejects_truncation);
     ("segment rejects misalignment", `Quick, test_segment_rejects_misalignment);
     ("segment rejects malformed tag", `Quick, test_segment_rejects_malformed_tag);
+    ("segment rejects negative id", `Quick, test_segment_rejects_negative_id);
+    ("segment rejects non-finite or negative time", `Quick,
+      test_segment_rejects_bad_time);
   ]
   @ qcheck_tests
