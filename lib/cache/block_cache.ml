@@ -43,13 +43,17 @@ type backend = {
 type block = {
   b_file : File.t;
   b_index : int;
-  mutable dirty : bool;
   mutable dirtied_at : float;  (* first dirtied since last clean *)
   mutable last_write : float;
   mutable last_ref : float;
-  mutable dirty_high : int;  (* writeback extent, from the block start *)
+  mutable dirty_high : int;
+      (* writeback extent, from the block start: a write covers at least
+         one byte, so the block is dirty exactly when this is positive *)
   mutable prev : block;  (* recency ring: towards least recently used *)
   mutable next : block;  (* towards most recently used *)
+  mutable chain : block;  (* next block in the same bucket of its file *)
+  mutable dprev : block;  (* the file's dirty FIFO: towards older *)
+  mutable dnext : block;  (* towards newer *)
 }
 
 (* Process-wide cache metrics, aggregated over every block cache in the
@@ -110,16 +114,23 @@ type stats = {
   replacements : (replace_reason * Dfs_util.Stats.t) list;
 }
 
-type dirty_info = {
-  mutable dn : int;  (* dirty blocks in this file *)
-  mutable earliest : float;
-      (* Lower bound on the oldest [dirtied_at] among them.  May go
-         stale-early when the oldest block is cleaned individually (we
-         don't rescan on clean); [tick] verifies before writing back and
-         tightens the bound when it proves conservative, so the delay
-         policy stays exact while the per-tick scan touches only files
-         that could plausibly have expired. *)
+(* One file's resident blocks.  The buckets are laid out exactly as
+   [Stdlib.Hashtbl] lays out int keys, so walking them visits blocks in
+   the order [Hashtbl.iter] would: a block sits in bucket
+   [Hashtbl.hash index land (n - 1)], new blocks go at the head of their
+   chain, the table starts at 16 buckets and doubles, splitting each
+   chain in order, once it holds more than two blocks per bucket.  That
+   order is the writeback order of a whole-file clean, and so part of
+   the output.  Chains and the FIFO end at the cache's sentinel. *)
+type file_index = {
+  mutable count : int;  (* resident blocks, linked through [chain] *)
+  mutable buckets : block array;
+  mutable dn : int;  (* dirty blocks, linked through [dprev]/[dnext] *)
+  mutable first : block;  (* dirty FIFO head: the oldest [dirtied_at] *)
+  mutable last : block;  (* dirty FIFO tail: the newest *)
 }
+
+let initial_buckets = 16
 
 (* Dense indices for the per-reason timing stats.  [clean_block] and
    [evict_one] are on the simulation's hottest path (every writeback and
@@ -138,12 +149,16 @@ type t = {
   backend : backend;
   head : block;
       (* Sentinel of the circular recency ring, owned by this cache:
-         [head.next] is the LRU victim, [head.prev] the most recent. *)
+         [head.next] is the LRU victim, [head.prev] the most recent.  It
+         also ends every bucket chain and dirty FIFO. *)
   mutable resident : int;  (* blocks on the ring *)
-  files : (int, (int, block) Hashtbl.t) Hashtbl.t;
-  dirty_files : (int, dirty_info) Hashtbl.t;
+  files : (int, file_index) Hashtbl.t;
+  dirty_files : (int, file_index) Hashtbl.t;
+      (* the files with [dn > 0]; its fold order is the order [tick]
+         cleans expired files in *)
   mutable capacity : int;
   mutable dirty_count : int;
+  mutable scratch : int array;  (* bucket numbers of a whole-file clean *)
   stats : stats;
   cleaning_stats : Dfs_util.Stats.t array;  (* indexed by [clean_index] *)
   replacement_stats : Dfs_util.Stats.t array;  (* by [replace_index] *)
@@ -160,13 +175,15 @@ let create ?(config = default_config) backend =
     {
       b_file = no_file;
       b_index = -1;
-      dirty = false;
       dirtied_at = 0.0;
       last_write = 0.0;
       last_ref = 0.0;
       dirty_high = 0;
       prev = head;
       next = head;
+      chain = head;
+      dprev = head;
+      dnext = head;
     }
   in
   {
@@ -178,6 +195,7 @@ let create ?(config = default_config) backend =
     dirty_files = Hashtbl.create 64;
     capacity = max 1 config.capacity_blocks;
     dirty_count = 0;
+    scratch = [||];
     stats =
       {
         all = fresh_class_stats ();
@@ -222,7 +240,8 @@ let drop_contents t =
   t.resident <- 0;
   Hashtbl.reset t.files;
   Hashtbl.reset t.dirty_files;
-  t.dirty_count <- 0
+  t.dirty_count <- 0;
+  t.scratch <- [||]
 
 (* -- internal bookkeeping ------------------------------------------------ *)
 
@@ -238,45 +257,116 @@ let push_mru t b =
   head.prev.next <- b;
   head.prev <- b
 
-let file_tbl t file =
+(* The per-file bucket index.  The chain walks are top-level functions:
+   a local [let rec] would allocate a closure per lookup. *)
+let bucket fi index = Hashtbl.hash index land (Array.length fi.buckets - 1)
+
+let rec find_in_chain nil index b =
+  if b == nil || b.b_index = index then b else find_in_chain nil index b.chain
+
+let rec unchain b p = if p.chain == b then p.chain <- b.chain else unchain b p.chain
+
+(* Double the buckets.  Bucket [i]'s chain splits into new buckets [i]
+   and [i + n], each keeping the chain's order, as [Hashtbl]'s resize
+   does. *)
+let grow nil fi =
+  let old = fi.buckets in
+  let n = Array.length old in
+  let buckets = Array.make (2 * n) nil in
+  for i = 0 to n - 1 do
+    let b = ref old.(i) and lo = ref nil and hi = ref nil in
+    while !b != nil do
+      let cur = !b in
+      b := cur.chain;
+      cur.chain <- nil;
+      if Hashtbl.hash cur.b_index land n = 0 then begin
+        if !lo == nil then buckets.(i) <- cur else !lo.chain <- cur;
+        lo := cur
+      end
+      else begin
+        if !hi == nil then buckets.(i + n) <- cur else !hi.chain <- cur;
+        hi := cur
+      end
+    done
+  done;
+  fi.buckets <- buckets
+
+let file_index t file =
   let fid = File.to_int file in
   match Hashtbl.find t.files fid with
-  | tbl -> tbl
+  | fi -> fi
   | exception Not_found ->
-    let tbl = Hashtbl.create 16 in
-    Hashtbl.replace t.files fid tbl;
-    tbl
+    let fi =
+      {
+        count = 0;
+        buckets = Array.make initial_buckets t.head;
+        dn = 0;
+        first = t.head;
+        last = t.head;
+      }
+    in
+    Hashtbl.replace t.files fid fi;
+    fi
 
+let index_add t fi b =
+  let i = bucket fi b.b_index in
+  b.chain <- fi.buckets.(i);
+  fi.buckets.(i) <- b;
+  fi.count <- fi.count + 1;
+  if fi.count > 2 * Array.length fi.buckets then grow t.head fi
+
+(* Remove [b] from its file's index, and the index once empty. *)
+let unindex t fi b =
+  let i = bucket fi b.b_index in
+  if fi.buckets.(i) == b then fi.buckets.(i) <- b.chain
+  else unchain b fi.buckets.(i);
+  fi.count <- fi.count - 1;
+  if fi.count = 0 then Hashtbl.remove t.files (File.to_int b.b_file)
+
+let file_of t b = Hashtbl.find t.files (File.to_int b.b_file)
+
+(* The dirty FIFO keeps a file's dirty blocks in [dirtied_at] order, so
+   its head is the oldest.  The simulation clock never goes back, so a
+   newly dirty block goes at the tail; a block stamped earlier than the
+   tail walks back to its place, after any equal stamps. *)
+let rec fifo_pred nil at p =
+  if p == nil || p.dirtied_at <= at then p else fifo_pred nil at p.dprev
+
+let is_dirty b = b.dirty_high > 0
+
+(* [b], clean until now, is being dirtied at [b.dirtied_at]. *)
 let note_dirty t b =
-  if not b.dirty then begin
-    b.dirty <- true;
-    t.dirty_count <- t.dirty_count + 1;
-    let fid = File.to_int b.b_file in
-    match Hashtbl.find t.dirty_files fid with
-    | info ->
-      info.dn <- info.dn + 1;
-      if b.dirtied_at < info.earliest then info.earliest <- b.dirtied_at
-    | exception Not_found ->
-      Hashtbl.replace t.dirty_files fid { dn = 1; earliest = b.dirtied_at }
-  end
+  t.dirty_count <- t.dirty_count + 1;
+  let fi = file_of t b in
+  let nil = t.head in
+  let p = fifo_pred nil b.dirtied_at fi.last in
+  let n = if p == nil then fi.first else p.dnext in
+  b.dprev <- p;
+  b.dnext <- n;
+  if p == nil then fi.first <- b else p.dnext <- b;
+  if n == nil then fi.last <- b else n.dprev <- b;
+  fi.dn <- fi.dn + 1;
+  if fi.dn = 1 then Hashtbl.replace t.dirty_files (File.to_int b.b_file) fi
 
-let note_clean t b =
-  if b.dirty then begin
-    b.dirty <- false;
+let note_clean t fi b =
+  if is_dirty b then begin
     b.dirty_high <- 0;
     t.dirty_count <- t.dirty_count - 1;
-    let fid = File.to_int b.b_file in
-    let info = Hashtbl.find t.dirty_files fid in
-    if info.dn > 1 then info.dn <- info.dn - 1
-    else Hashtbl.remove t.dirty_files fid
+    let nil = t.head in
+    if b.dprev == nil then fi.first <- b.dnext else b.dprev.dnext <- b.dnext;
+    if b.dnext == nil then fi.last <- b.dprev else b.dnext.dprev <- b.dprev;
+    b.dprev <- nil;
+    b.dnext <- nil;
+    fi.dn <- fi.dn - 1;
+    if fi.dn = 0 then Hashtbl.remove t.dirty_files (File.to_int b.b_file)
   end
 
 let cleaning_stat t reason = t.cleaning_stats.(clean_index reason)
 
 let replacement_stat t reason = t.replacement_stats.(replace_index reason)
 
-let clean_block t ~now b ~reason =
-  if b.dirty then begin
+let clean_block t ~now fi b ~reason =
+  if is_dirty b then begin
     let bytes = b.dirty_high in
     t.backend.writeback ~file:b.b_file ~index:b.b_index ~bytes ~reason;
     t.stats.writeback_bytes <- t.stats.writeback_bytes + bytes;
@@ -293,37 +383,20 @@ let clean_block t ~now b ~reason =
             ("reason", Dfs_obs.Json.String (clean_reason_name reason));
           ]
         ();
-    note_clean t b
+    note_clean t fi b
   end
-
-(* Remove [b] from its file's block table, and the table once empty. *)
-let unindex t b =
-  let fid = File.to_int b.b_file in
-  let tbl = Hashtbl.find t.files fid in
-  Hashtbl.remove tbl b.b_index;
-  if Hashtbl.length tbl = 0 then Hashtbl.remove t.files fid
-
-let drop_block t b ~discard_dirty =
-  if b.dirty then begin
-    if discard_dirty then
-      t.stats.dirty_bytes_discarded <-
-        t.stats.dirty_bytes_discarded + b.dirty_high;
-    note_clean t b
-  end;
-  unindex t b;
-  unlink b;
-  t.resident <- t.resident - 1
 
 let evict_one t ~now ~reason =
   let b = t.head.next in
   if b == t.head then false
   else begin
+    let fi = file_of t b in
     unlink b;
     t.resident <- t.resident - 1;
     (* A dirty victim must reach the server before its page is reused. *)
     (match reason with
-    | Replace_to_vm -> clean_block t ~now b ~reason:Clean_vm
-    | Replace_for_block -> clean_block t ~now b ~reason:Clean_eviction);
+    | Replace_to_vm -> clean_block t ~now fi b ~reason:Clean_vm
+    | Replace_for_block -> clean_block t ~now fi b ~reason:Clean_eviction);
     Dfs_util.Stats.add (replacement_stat t reason) (now -. b.last_ref);
     Dfs_obs.Metrics.incr m_evictions;
     if Dfs_obs.Tracer.active () then
@@ -334,7 +407,7 @@ let evict_one t ~now ~reason =
             ("idle_s", Dfs_obs.Json.Float (now -. b.last_ref));
           ]
         ();
-    unindex t b;
+    unindex t fi b;
     true
   end
 
@@ -344,20 +417,23 @@ let insert_block t ~now ~file ~index =
       (* capacity is >= 1 and the ring is non-empty whenever size >= capacity *)
       assert false
   done;
+  let nil = t.head in
   let b =
     {
       b_file = file;
       b_index = index;
-      dirty = false;
       dirtied_at = now;
       last_write = now;
       last_ref = now;
       dirty_high = 0;
-      prev = t.head;
-      next = t.head;
+      prev = nil;
+      next = nil;
+      chain = nil;
+      dprev = nil;
+      dnext = nil;
     }
   in
-  Hashtbl.replace (file_tbl t file) index b;
+  index_add t (file_index t file) b;
   push_mru t b;
   t.resident <- t.resident + 1;
   b
@@ -365,8 +441,8 @@ let insert_block t ~now ~file ~index =
 (* The resident block, or [t.head] when there is none: a miss allocates
    no option. *)
 let find_block t ~file ~index =
-  match Hashtbl.find (Hashtbl.find t.files (File.to_int file)) index with
-  | b -> b
+  match Hashtbl.find t.files (File.to_int file) with
+  | fi -> find_in_chain t.head index fi.buckets.(bucket fi index)
   | exception Not_found -> t.head
 
 let touch t b ~now =
@@ -467,8 +543,10 @@ let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
           insert_block t ~now ~file ~index
         end
       in
-      if not b.dirty then b.dirtied_at <- now;
-      note_dirty t b;
+      if not (is_dirty b) then begin
+        b.dirtied_at <- now;
+        note_dirty t b
+      end;
       b.last_write <- now;
       (* Writebacks cover the block from its start to the end of the new
          data — the append behaviour the paper blames for writeback-traffic
@@ -477,19 +555,69 @@ let write t ~now ~cls ~migrated ~file ~file_size ~off ~len =
       touch t b ~now
     done
 
-let blocks_of_file t file =
-  match Hashtbl.find_opt t.files (File.to_int file) with
-  | None -> []
-  | Some tbl -> Hashtbl.fold (fun _ b acc -> b :: acc) tbl []
 
-(* Clean in place: [clean_block] never removes entries from the file's
-   block table, so we can iterate it directly instead of materializing a
-   [blocks_of_file] list.  ([invalidate] still takes the list — dropping
-   blocks mutates the table under iteration.) *)
+(* -- whole-file cleaning ------------------------------------------------- *)
+
+(* In-place heapsort of [a.(0) .. a.(n-1)]: whole-file cleans sort into
+   the cache's scratch array, so they allocate nothing. *)
+let rec sift (a : int array) i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift a c n
+    end
+  end
+
+let sort_prefix a n =
+  for i = (n / 2) - 1 downto 0 do
+    sift a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift a 0 last
+  done
+
+let rec clean_chain t ~now fi b ~reason =
+  if b != t.head then begin
+    let next = b.chain in
+    clean_block t ~now fi b ~reason;
+    clean_chain t ~now fi next ~reason
+  end
+
+(* Write back every dirty block of the file, in the order [Hashtbl.iter]
+   over its index would meet them: the FIFO names the buckets that hold
+   dirty blocks, sorted and deduplicated, and each of those chains is
+   walked from its head.  Cleaning unlinks blocks from the FIFO but never
+   from a chain, so the bucket numbers are taken first.  The cost is
+   O(d log d) in the file's dirty blocks d, whatever its resident count. *)
+let clean_dirty t ~now fi ~reason =
+  let d = fi.dn in
+  if d > 0 then begin
+    if Array.length t.scratch < d then
+      t.scratch <- Array.make (max d (2 * Array.length t.scratch)) 0;
+    let buf = t.scratch in
+    let b = ref fi.first in
+    for k = 0 to d - 1 do
+      buf.(k) <- bucket fi !b.b_index;
+      b := !b.dnext
+    done;
+    sort_prefix buf d;
+    for k = 0 to d - 1 do
+      if k = 0 || buf.(k) <> buf.(k - 1) then
+        clean_chain t ~now fi fi.buckets.(buf.(k)) ~reason
+    done
+  end
+
 let clean_file t ~now ~file ~reason =
-  match Hashtbl.find_opt t.files (File.to_int file) with
-  | None -> ()
-  | Some tbl -> Hashtbl.iter (fun _ b -> clean_block t ~now b ~reason) tbl
+  match Hashtbl.find t.files (File.to_int file) with
+  | fi -> clean_dirty t ~now fi ~reason
+  | exception Not_found -> ()
 
 let fsync t ~now ~file = clean_file t ~now ~file ~reason:Clean_fsync
 
@@ -497,7 +625,26 @@ let recall t ~now ~file = clean_file t ~now ~file ~reason:Clean_recall
 
 let invalidate t ~now ~file =
   ignore now;
-  List.iter (fun b -> drop_block t b ~discard_dirty:true) (blocks_of_file t file)
+  let fid = File.to_int file in
+  match Hashtbl.find t.files fid with
+  | exception Not_found -> ()
+  | fi ->
+    Array.iter
+      (fun b ->
+        let b = ref b in
+        while !b != t.head do
+          let cur = !b in
+          if is_dirty cur then begin
+            t.stats.dirty_bytes_discarded <-
+              t.stats.dirty_bytes_discarded + cur.dirty_high;
+            note_clean t fi cur
+          end;
+          unlink cur;
+          t.resident <- t.resident - 1;
+          b := cur.chain
+        done)
+      fi.buckets;
+    Hashtbl.remove t.files fid
 
 let flush_and_invalidate t ~now ~file =
   clean_file t ~now ~file ~reason:Clean_recall;
@@ -505,16 +652,11 @@ let flush_and_invalidate t ~now ~file =
 
 let delete t ~now ~file = invalidate t ~now ~file
 
+let rec fifo_bytes nil b acc =
+  if b == nil then acc else fifo_bytes nil b.dnext (acc + b.dirty_high)
+
 let dirty_bytes t =
-  Hashtbl.fold
-    (fun fid _ acc ->
-      match Hashtbl.find_opt t.files fid with
-      | None -> acc
-      | Some tbl ->
-        Hashtbl.fold
-          (fun _ b acc -> if b.dirty then acc + b.dirty_high else acc)
-          tbl acc)
-    t.dirty_files 0
+  Hashtbl.fold (fun _ fi acc -> fifo_bytes t.head fi.first acc) t.dirty_files 0
 
 let dirty_file_ids t =
   List.sort compare (Hashtbl.fold (fun fid _ acc -> fid :: acc) t.dirty_files [])
@@ -525,47 +667,30 @@ let crash t ~now =
   (* Volatile memory is gone: every block leaves, dirty data silently.
      The loss is NOT counted as [dirty_bytes_discarded] — that stat is
      the paper's deleted-before-writeback {e saving}; crash loss is the
-     delayed-write {e cost} and is accounted by the fault injector. *)
-  while t.head.next != t.head do
-    drop_block t t.head.next ~discard_dirty:false
-  done;
+     delayed-write {e cost} and is accounted by the fault injector.  The
+     tables are emptied but keep their bucket arrays, as removing every
+     entry would, so [tick]'s file order after the crash is unchanged. *)
+  t.head.prev <- t.head;
+  t.head.next <- t.head;
+  t.resident <- 0;
+  Hashtbl.clear t.files;
+  Hashtbl.clear t.dirty_files;
+  t.dirty_count <- 0;
   lost
 
 let tick t ~now =
   (* Any file with a block dirty for [writeback_delay] has ALL its dirty
-     blocks written back — Sprite's policy.  [dirty_files.earliest] is a
-     lower bound on each file's oldest dirty timestamp, so files whose
-     bound hasn't aged out are skipped without touching their blocks;
-     only plausible candidates get a per-block verify.  A candidate that
-     turns out fresh (its bound was stale) has the bound tightened to
-     the true minimum so it won't re-trip every tick. *)
-  let candidates =
+     blocks written back — Sprite's policy.  A file's FIFO head is its
+     oldest dirty block, so the expired files are found without touching
+     any other block. *)
+  let expired =
     Hashtbl.fold
-      (fun fid info acc ->
-        if now -. info.earliest >= t.cfg.writeback_delay then
-          (fid, info) :: acc
+      (fun _ fi acc ->
+        if now -. fi.first.dirtied_at >= t.cfg.writeback_delay then fi :: acc
         else acc)
       t.dirty_files []
   in
-  List.iter
-    (fun (fid, info) ->
-      let file = File.of_int fid in
-      let expired = ref false in
-      let oldest = ref infinity in
-      (match Hashtbl.find_opt t.files fid with
-      | None -> ()
-      | Some tbl ->
-        Hashtbl.iter
-          (fun _ b ->
-            if b.dirty then begin
-              if now -. b.dirtied_at >= t.cfg.writeback_delay then
-                expired := true;
-              if b.dirtied_at < !oldest then oldest := b.dirtied_at
-            end)
-          tbl);
-      if !expired then clean_file t ~now ~file ~reason:Clean_delay
-      else if !oldest < infinity then info.earliest <- !oldest)
-    candidates
+  List.iter (fun fi -> clean_dirty t ~now fi ~reason:Clean_delay) expired
 
 let resident_blocks t =
   let rec walk b acc =
@@ -582,7 +707,7 @@ let set_capacity t ~now blocks =
 
 let check_invariants t =
   (* The ring: walk it both ways, checking every splice is mutual and every
-     block on it is the one its file's table holds.  The walks are bounded
+     block on it is the one its file's index holds.  The walks are bounded
      by [resident], so a broken ring fails instead of looping. *)
   let walk step back =
     let n = ref 0 and b = ref (step t.head) in
@@ -598,32 +723,60 @@ let check_invariants t =
   in
   assert (walk (fun b -> b.next) (fun b -> b.prev) = t.resident);
   assert (walk (fun b -> b.prev) (fun b -> b.next) = t.resident);
-  let indexed =
-    Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.files 0
-  in
-  assert (indexed = t.resident);
   assert (t.resident <= t.capacity);
-  let dirty = ref 0 in
+  let indexed = ref 0 and dirty = ref 0 and dirty_files = ref 0 in
   Hashtbl.iter
-    (fun _ tbl -> Hashtbl.iter (fun _ b -> if b.dirty then incr dirty) tbl)
+    (fun fid fi ->
+      (* The index: every block in its bucket, the chain lengths summing
+         to [count], at most two blocks per bucket, no empty index. *)
+      let n = Array.length fi.buckets in
+      assert (n >= initial_buckets && n land (n - 1) = 0);
+      let chained = ref 0 and dn = ref 0 and oldest = ref infinity in
+      Array.iteri
+        (fun i b ->
+          let b = ref b in
+          while !b != t.head do
+            let cur = !b in
+            assert (File.to_int cur.b_file = fid);
+            assert (bucket fi cur.b_index = i);
+            if is_dirty cur then begin
+              incr dn;
+              oldest := Float.min !oldest cur.dirtied_at
+            end
+            else assert (cur.dprev == t.head && cur.dnext == t.head);
+            incr chained;
+            assert (!chained <= fi.count);
+            b := cur.chain
+          done)
+        fi.buckets;
+      assert (!chained = fi.count && fi.count > 0 && fi.count <= 2 * n);
+      indexed := !indexed + fi.count;
+      (* The dirty FIFO: exactly the file's dirty blocks, linked both
+         ways, oldest first, so its head is the true minimum. *)
+      assert (fi.dn = !dn);
+      let len = ref 0 and p = ref t.head and b = ref fi.first in
+      while !b != t.head do
+        let cur = !b in
+        assert (is_dirty cur && File.to_int cur.b_file = fid);
+        assert (cur.dprev == !p);
+        if !p != t.head then assert (!p.dirtied_at <= cur.dirtied_at);
+        incr len;
+        assert (!len <= fi.dn);
+        p := cur;
+        b := cur.dnext
+      done;
+      assert (!len = fi.dn && fi.last == !p);
+      dirty := !dirty + fi.dn;
+      if fi.dn > 0 then begin
+        incr dirty_files;
+        assert (fi.first.dirtied_at = !oldest);
+        assert (
+          match Hashtbl.find_opt t.dirty_files fid with
+          | Some d -> d == fi
+          | None -> false)
+      end
+      else assert (not (Hashtbl.mem t.dirty_files fid)))
     t.files;
+  assert (!indexed = t.resident);
   assert (!dirty = t.dirty_count);
-  let per_file_dirty = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun fid tbl ->
-      let n =
-        Hashtbl.fold (fun _ b acc -> if b.dirty then acc + 1 else acc) tbl 0
-      in
-      if n > 0 then Hashtbl.replace per_file_dirty fid n)
-    t.files;
-  assert (Hashtbl.length per_file_dirty = Hashtbl.length t.dirty_files);
-  Hashtbl.iter
-    (fun fid info ->
-      assert (Hashtbl.find_opt per_file_dirty fid = Some info.dn);
-      (* [earliest] must never overshoot the file's true oldest dirty
-         timestamp — staleness is only allowed in the early direction. *)
-      let tbl = Hashtbl.find t.files fid in
-      Hashtbl.iter
-        (fun _ b -> if b.dirty then assert (info.earliest <= b.dirtied_at))
-        tbl)
-    t.dirty_files
+  assert (Hashtbl.length t.dirty_files = !dirty_files)

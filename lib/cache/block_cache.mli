@@ -22,17 +22,40 @@
 
     {2 Data structure}
 
-    Each resident block is one mutable record, indexed once: a table of
-    per-file tables maps (file, block index) to it.  The per-file tables'
-    iteration order decides the order of writebacks in {!fsync},
-    {!recall}, {!tick} and {!crash}, and so the server's view; it is part
-    of the output.  Recency lives on the records themselves: [prev]/[next]
-    fields link every resident block into a circular ring through a
-    per-cache sentinel, least recently used first.  A hit is a table
-    lookup plus an O(1) splice to the most-recent end; an eviction unlinks
-    the sentinel's successor; the resident count is a field.  A read or
-    write that hits allocates nothing.  A cache shares no mutable state
-    with any other, so caches may run on different domains at once. *)
+    Each resident block is one mutable record, linked into three lists
+    through its own fields, so a resident block costs 12 words (a block
+    is dirty exactly when its writeback extent is positive, so it needs
+    no flag) and a hit allocates nothing.
+
+    - {b Recency.}  [prev]/[next] link every resident block into a
+      circular ring through a per-cache sentinel, least recently used
+      first.  A hit is an O(1) splice to the most-recent end; an
+      eviction unlinks the sentinel's successor.
+    - {b File index.}  A table maps a file id to that file's index: an
+      array of buckets chained through the blocks' [chain] field.  It is
+      laid out exactly as [Stdlib.Hashtbl] lays out int keys: a block
+      sits in bucket [Hashtbl.hash index land (n - 1)], a new block goes
+      at the head of its chain, [n] starts at 16 and doubles, splitting
+      each chain in order, once the file holds more than [2n] blocks,
+      and removal unlinks in place.  Walking the buckets in order and
+      each chain from its head is therefore [Hashtbl.iter]'s order.
+      That is the order whole-file cleans write back in ({!fsync},
+      {!recall}, {!flush_and_invalidate}, {!tick}), and so it reaches
+      the server's view and the outputs: it is defined here, by this
+      layout, and the tests pin it against a real [Hashtbl].
+    - {b Dirty FIFO.}  [dprev]/[dnext] link each file's dirty blocks in
+      [dirtied_at] order, oldest first (a block dirtied at an earlier
+      time than the tail walks back to its place), so the head is the
+      file's exact oldest dirty block.
+
+    A whole-file clean takes the buckets of the file's dirty blocks
+    from the FIFO, sorts and dedupes them, and walks only those chains:
+    O(d log d) in the file's d dirty blocks, whatever its resident
+    count.  {!tick} compares each dirty file's FIFO head with the
+    delay and cleans the expired files in the fold order of the table
+    of dirty files; {!dirty_bytes} walks the FIFOs.  A cache shares no
+    mutable state with any other, so caches may run on different
+    domains at once. *)
 
 type clean_reason =
   | Clean_delay  (** the 30-second delayed-write policy *)
@@ -206,5 +229,10 @@ val drop_contents : t -> unit
 val check_invariants : t -> unit
 (** Internal consistency: the recency ring is well linked both ways
     ([b.next.prev == b]), holds exactly the indexed blocks, and its length
-    equals {!size}, which is within capacity; dirty counters match.
-    Raises [Assert_failure] on violation; used by tests. *)
+    equals {!size}, which is within capacity.  Every block sits in its
+    file's bucket [Hashtbl.hash index land (n - 1)]; the chain lengths sum
+    to the file's count, which is at most [2n].  Each dirty FIFO holds
+    exactly its file's dirty blocks, linked both ways with [dirtied_at]
+    non-decreasing, so its head is the true oldest; dirty counters and
+    the dirty-file table match.  Raises [Assert_failure] on violation;
+    used by tests. *)

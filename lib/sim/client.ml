@@ -42,6 +42,7 @@ type t = {
   server_of : Dfs_trace.Ids.Server.t -> Server.t;
   paging_server : Server.t;
   cfg : config;
+  net : Network.config;  (* the cluster's network, for write-through latency *)
   do_sleep : bool;
   cache : Bc.t;
   vm : Dfs_vm.Vm.t;
@@ -65,7 +66,7 @@ let server_for t file =
   | None -> t.paging_server
 
 let create ~engine ~id ~fs ~server_of ~paging_server ?(config = default_config)
-    ?(sleep = true) () =
+    ?(network_config = Network.default_config) ?(sleep = true) () =
   let rec t =
     lazy
       {
@@ -75,6 +76,7 @@ let create ~engine ~id ~fs ~server_of ~paging_server ?(config = default_config)
         server_of;
         paging_server;
         cfg = config;
+        net = network_config;
         do_sleep = sleep;
         cache =
           Bc.create
@@ -311,7 +313,7 @@ let fsync t fd =
   Bc.fsync t.cache ~now:(Engine.now t.engine) ~file:info.id;
   let flushed = (Bc.stats t.cache).writeback_bytes - before in
   (* The process waits for the synchronous write-through. *)
-  let net = Network.default_config in
+  let net = t.net in
   let nblocks = Dfs_util.Units.blocks_of_bytes flushed in
   let lat =
     (float_of_int nblocks *. net.rpc_latency)

@@ -37,11 +37,14 @@ val create :
   server_of:(Dfs_trace.Ids.Server.t -> Server.t) ->
   paging_server:Server.t ->
   ?config:config ->
+  ?network_config:Network.config ->
   ?sleep:bool ->
   unit ->
   t
-(** [sleep:false] (for unit tests) makes operations account latency
-    without suspending the calling process. *)
+(** [network_config] (default {!Network.default_config}) is the cluster's
+    network; {!fsync} charges its write-through at that network's RPC
+    latency and bandwidth.  [sleep:false] (for unit tests) makes
+    operations account latency without suspending the calling process. *)
 
 val id : t -> Dfs_trace.Ids.Client.t
 
@@ -84,6 +87,9 @@ val fd_pos : t -> fd -> int
 val fd_info : t -> fd -> Fs_state.file_info
 
 val fsync : t -> fd -> unit
+(** Write the file's dirty blocks through to the server; the process
+    waits one RPC latency per block plus the bytes at the network's
+    bandwidth. *)
 
 val close : t -> fd -> unit
 

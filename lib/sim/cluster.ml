@@ -281,7 +281,7 @@ let create cfg =
           ~fs ~server_of
           ~paging_server:servers.(0)
           ~config:{ cfg.client_config with memory_bytes }
-          ())
+          ~network_config:cfg.network_config ())
   in
   Array.iter
     (fun c ->

@@ -377,7 +377,12 @@ let prop_writeback_bounded_by_written =
 
 (* A brute-force Sprite cache: the resident blocks are a plain list, least
    recently used first, and every rule is restated from the policy rather
-   than from the implementation. *)
+   than from the implementation.  The one thing the policy leaves open is
+   the order in which a whole-file clean writes blocks back, and the
+   outputs depend on it: the cache writes in the order a [Stdlib.Hashtbl]
+   per file would iterate, and [tick] takes files in the fold order of a
+   [Hashtbl] of the files with dirty blocks.  The model keeps real tables,
+   mirrored on every insert, eviction and drop, to pin that order. *)
 module Model = struct
   type block = {
     file : int;
@@ -397,10 +402,20 @@ module Model = struct
     min_capacity : int;
     delay : float;
     mutable events : event list;  (* newest first *)
+    files : (int, (int, block) Hashtbl.t) Hashtbl.t;  (* the blocks, by file *)
+    dirty_files : (int, unit) Hashtbl.t;  (* files with a dirty block *)
   }
 
   let create ~capacity ~min_capacity ~delay =
-    { blocks = []; capacity; min_capacity; delay; events = [] }
+    {
+      blocks = [];
+      capacity;
+      min_capacity;
+      delay;
+      events = [];
+      files = Hashtbl.create 256;
+      dirty_files = Hashtbl.create 64;
+    }
 
   let emit m e = m.events <- e :: m.events
 
@@ -409,11 +424,24 @@ module Model = struct
 
   let to_mru m b = m.blocks <- List.filter (fun x -> x != b) m.blocks @ [ b ]
 
+  let has_dirty m file = List.exists (fun b -> b.file = file && b.dirty) m.blocks
+
+  (* [file] lost a dirty block or a block: leave the dirty set once none
+     is left. *)
+  let settle m file =
+    if not (has_dirty m file) then Hashtbl.remove m.dirty_files file
+
+  let unindex m b =
+    let tbl = Hashtbl.find m.files b.file in
+    Hashtbl.remove tbl b.index;
+    if Hashtbl.length tbl = 0 then Hashtbl.remove m.files b.file
+
   let clean m b reason =
     if b.dirty then begin
       emit m (Writeback (b.file, b.index, b.high, reason));
       b.dirty <- false;
-      b.high <- 0
+      b.high <- 0;
+      settle m b.file
     end
 
   let evict m reason =
@@ -421,7 +449,8 @@ module Model = struct
     | [] -> assert false
     | b :: rest ->
       m.blocks <- rest;
-      clean m b reason
+      clean m b reason;
+      unindex m b
 
   let insert m ~now file index =
     while List.length m.blocks >= m.capacity do
@@ -429,6 +458,15 @@ module Model = struct
     done;
     let b = { file; index; dirty = false; dirtied_at = now; high = 0 } in
     m.blocks <- m.blocks @ [ b ];
+    let tbl =
+      match Hashtbl.find_opt m.files file with
+      | Some tbl -> tbl
+      | None ->
+        let tbl = Hashtbl.create 16 in
+        Hashtbl.replace m.files file tbl;
+        tbl
+    in
+    Hashtbl.replace tbl index b;
     b
 
   (* (index, lo, hi) of each block [off, off+len) overlaps *)
@@ -467,33 +505,46 @@ module Model = struct
         in
         if not b.dirty then begin
           b.dirty <- true;
-          b.dirtied_at <- now
+          b.dirtied_at <- now;
+          if not (Hashtbl.mem m.dirty_files file) then
+            Hashtbl.replace m.dirty_files file ()
         end;
         b.high <- max b.high hi;
         to_mru m b)
       (spans ~off ~len)
 
+  (* Every dirty block of the file, in its table's iteration order. *)
   let clean_file m file reason =
-    List.iter (fun b -> if b.file = file then clean m b reason) m.blocks
+    match Hashtbl.find_opt m.files file with
+    | None -> ()
+    | Some tbl -> Hashtbl.iter (fun _ b -> clean m b reason) tbl
 
+  let expired m ~now file =
+    List.exists
+      (fun b -> b.file = file && b.dirty && now -. b.dirtied_at >= m.delay)
+      m.blocks
+
+  (* The expired files, consed in the dirty set's fold order. *)
   let tick m ~now =
-    let expired =
-      List.filter_map
-        (fun b ->
-          if b.dirty && now -. b.dirtied_at >= m.delay then Some b.file else None)
-        m.blocks
+    let files =
+      Hashtbl.fold
+        (fun file () acc -> if expired m ~now file then file :: acc else acc)
+        m.dirty_files []
     in
-    List.iter
-      (fun file -> clean_file m file Bc.Clean_delay)
-      (List.sort_uniq compare expired)
+    List.iter (fun file -> clean_file m file Bc.Clean_delay) files
 
-  let drop m file = m.blocks <- List.filter (fun b -> b.file <> file) m.blocks
+  let drop m file =
+    m.blocks <- List.filter (fun b -> b.file <> file) m.blocks;
+    Hashtbl.remove m.files file;
+    Hashtbl.remove m.dirty_files file
 
   let crash m =
     let lost =
       List.fold_left (fun acc b -> if b.dirty then acc + b.high else acc) 0 m.blocks
     in
     m.blocks <- [];
+    Hashtbl.reset m.files;
+    Hashtbl.clear m.dirty_files;
     lost
 
   let set_capacity m n =
@@ -528,18 +579,19 @@ let print_cache_op = function
   | Crash -> "crash"
 
 (* A few files, block-aligned and ragged offsets, sizes that end inside,
-   at and past block boundaries. *)
-let cache_op_gen =
+   at and past block boundaries.  [blocks] bounds the starting block and
+   [lens] adds longer writes and reads. *)
+let cache_op_gen ?(blocks = 5) ?(lens = []) () =
   let open QCheck.Gen in
   let file = int_range 1 3 in
-  let size = oneofl [ 0; 100; bs; (5 * bs) / 2; 6 * bs ] in
+  let size = oneofl [ 0; 100; bs; (5 * bs) / 2; 6 * bs; blocks * bs ] in
   let off =
     map2
       (fun blk within -> (blk * bs) + within)
-      (int_bound 5)
+      (int_bound blocks)
       (oneofl [ 0; 0; 512; bs - 1 ])
   in
-  let len = oneofl [ 0; 1; 100; bs; bs + 1; 2 * bs ] in
+  let len = oneofl ([ 0; 1; 100; bs; bs + 1; 2 * bs ] @ lens) in
   let access k = map (fun (f, s, o, l) -> k f s o l) (quad file size off len) in
   frequency
     [
@@ -556,12 +608,10 @@ let cache_op_gen =
     ]
 
 (* Run [ops] on a cache and on the model, ten simulated seconds apart at
-   most, comparing after every op.  Evictions happen inside reads, writes
-   and capacity changes, so their events must match in order; the other
-   ops clean whole files, in the cache's table order, so their events are
-   compared as sets. *)
-let differential ops =
-  let capacity = 4 and min_capacity = 1 and delay = 30.0 in
+   most, comparing after every op.  Fetches and writebacks must match in
+   order, whole-file cleans included. *)
+let differential ~capacity ops =
+  let min_capacity = 1 and delay = 30.0 in
   let cache, log = make_cache ~capacity ~min_capacity ~delay () in
   let model = Model.create ~capacity ~min_capacity ~delay in
   let events () =
@@ -580,59 +630,46 @@ let differential ops =
       log.fetches <- [];
       log.writebacks <- [];
       model.events <- [];
-      let in_order =
-        match op with
-        | Read (file, size, off, len) ->
-          read ~now cache ~file ~size ~off ~len;
-          Model.read model ~now ~file ~size ~off ~len;
-          true
-        | Write (file, size, off, len) ->
-          write ~now cache ~file ~size ~off ~len;
-          Model.write model ~now ~file ~size ~off ~len;
-          true
-        | Set_capacity n ->
-          Bc.set_capacity cache ~now n;
-          Model.set_capacity model n;
-          true
-        | Invalidate file ->
-          Bc.invalidate cache ~now ~file:(f file);
-          Model.drop model file;
-          false
-        | Delete file ->
-          Bc.delete cache ~now ~file:(f file);
-          Model.drop model file;
-          false
-        | Fsync file ->
-          Bc.fsync cache ~now ~file:(f file);
-          Model.clean_file model file Bc.Clean_fsync;
-          false
-        | Recall file ->
-          Bc.recall cache ~now ~file:(f file);
-          Model.clean_file model file Bc.Clean_recall;
-          false
-        | Flush_and_invalidate file ->
-          Bc.flush_and_invalidate cache ~now ~file:(f file);
-          Model.clean_file model file Bc.Clean_recall;
-          Model.drop model file;
-          false
-        | Tick ->
-          Bc.tick cache ~now;
-          Model.tick model ~now;
-          false
-        | Crash ->
-          let lost = Bc.crash cache ~now in
-          let expected = Model.crash model in
-          if lost <> expected then
-            fail "step %d: crash lost %d, model %d" step lost expected;
-          false
-      in
+      (match op with
+      | Read (file, size, off, len) ->
+        read ~now cache ~file ~size ~off ~len;
+        Model.read model ~now ~file ~size ~off ~len
+      | Write (file, size, off, len) ->
+        write ~now cache ~file ~size ~off ~len;
+        Model.write model ~now ~file ~size ~off ~len
+      | Set_capacity n ->
+        Bc.set_capacity cache ~now n;
+        Model.set_capacity model n
+      | Invalidate file ->
+        Bc.invalidate cache ~now ~file:(f file);
+        Model.drop model file
+      | Delete file ->
+        Bc.delete cache ~now ~file:(f file);
+        Model.drop model file
+      | Fsync file ->
+        Bc.fsync cache ~now ~file:(f file);
+        Model.clean_file model file Bc.Clean_fsync
+      | Recall file ->
+        Bc.recall cache ~now ~file:(f file);
+        Model.clean_file model file Bc.Clean_recall
+      | Flush_and_invalidate file ->
+        Bc.flush_and_invalidate cache ~now ~file:(f file);
+        Model.clean_file model file Bc.Clean_recall;
+        Model.drop model file
+      | Tick ->
+        Bc.tick cache ~now;
+        Model.tick model ~now
+      | Crash ->
+        let lost = Bc.crash cache ~now in
+        let expected = Model.crash model in
+        if lost <> expected then
+          fail "step %d: crash lost %d, model %d" step lost expected);
       Bc.check_invariants cache;
       let fetches, wbs = events () in
       let m_fetches, m_wbs = split (List.rev model.events) in
-      let norm l = if in_order then l else List.sort compare l in
       if fetches <> m_fetches then
         fail "step %d (%s): fetch calls differ" step (print_cache_op op);
-      if norm wbs <> norm m_wbs then
+      if wbs <> m_wbs then
         fail "step %d (%s): writebacks differ" step (print_cache_op op);
       let resident =
         List.map (fun (file, i) -> (File.to_int file, i)) (Bc.resident_blocks cache)
@@ -647,14 +684,116 @@ let differential ops =
     ops;
   true
 
+let cache_ops_arb ?blocks ?lens n =
+  QCheck.make
+    ~print:
+      QCheck.Print.(
+        list (fun (op, dt) -> Printf.sprintf "%s @+%g" (print_cache_op op) dt))
+    QCheck.Gen.(
+      list_size (0 -- n) (pair (cache_op_gen ?blocks ?lens ()) (float_bound_inclusive 9.0)))
+
 let prop_matches_reference_model =
   QCheck.Test.make ~name:"block cache matches a list-based LRU model" ~count:300
-    (QCheck.make
-       ~print:
-         QCheck.Print.(
-           list (fun (op, dt) -> Printf.sprintf "%s @+%g" (print_cache_op op) dt))
-       QCheck.Gen.(list_size (0 -- 80) (pair cache_op_gen (float_bound_inclusive 9.0))))
-    differential
+    (cache_ops_arb 80) (differential ~capacity:4)
+
+(* Files of up to ~100 blocks in a cache of 80: the per-file tables grow
+   past 16 and 32 buckets, and whole-file cleans meet long chains. *)
+let prop_matches_reference_model_large =
+  QCheck.Test.make ~name:"block cache matches the model on large files" ~count:60
+    (cache_ops_arb ~blocks:90 ~lens:[ 16 * bs; 40 * bs; (64 * bs) + 7 ] 60)
+    (differential ~capacity:80)
+
+(* The file index against [Stdlib.Hashtbl]: one file, keys spread over a
+   wide range, inserted by writes and removed by LRU evictions and
+   capacity cuts, with a mirror table fed the same stream.  Every block is
+   dirty while the stream runs, so each eviction shows in the backend log
+   and the mirror can follow it.  Then an fsync of every block, and a
+   [tick] of a random dirty subset stamped at non-monotone times, must
+   write back in the mirror's iteration order. *)
+let prop_index_order_matches_hashtbl =
+  QCheck.Test.make ~name:"file index iterates like a Stdlib Hashtbl" ~count:40
+    QCheck.(
+      pair
+        (list_of_size Gen.(300 -- 900)
+           (pair (int_bound 1_000_000) (int_bound 40)))
+        (list (pair (int_bound 1_000_000) (float_bound_inclusive 20.0))))
+    (fun (stream, subset) ->
+      let cache, log = make_cache ~capacity:400 ~min_capacity:1 () in
+      let mirror = Hashtbl.create 16 in
+      let now = ref 0.0 in
+      let follow_evictions () =
+        List.iter
+          (fun (_, index, _, reason) ->
+            assert (reason = Bc.Clean_eviction || reason = Bc.Clean_vm);
+            Hashtbl.remove mirror index)
+          (List.rev log.writebacks);
+        log.writebacks <- []
+      in
+      List.iter
+        (fun (key, op) ->
+          now := !now +. 0.01;
+          if op = 0 then begin
+            Bc.set_capacity cache ~now:!now (200 + (key mod 200));
+            follow_evictions ()
+          end
+          else begin
+            (* a miss evicts first, then indexes the new block *)
+            let resident = Hashtbl.mem mirror key in
+            write ~now:!now cache ~file:1 ~size:0 ~off:(key * bs) ~len:bs;
+            follow_evictions ();
+            if not resident then Hashtbl.replace mirror key ()
+          end)
+        stream;
+      Bc.check_invariants cache;
+      let order keep =
+        Hashtbl.fold (fun k () acc -> if keep k then k :: acc else acc) mirror []
+        |> List.rev
+      in
+      let written () =
+        let l = List.rev_map (fun (_, index, _, _) -> index) log.writebacks in
+        log.writebacks <- [];
+        l
+      in
+      Bc.fsync cache ~now:!now ~file:(f 1);
+      let all_ok = written () = order (fun _ -> true) in
+      let keys = Array.of_list (order (fun _ -> true)) in
+      let dirty = Hashtbl.create 16 in
+      if Array.length keys > 0 then
+        List.iter
+          (fun (pick, dt) ->
+            let key = keys.(pick mod Array.length keys) in
+            Hashtbl.replace dirty key ();
+            write ~now:(!now +. dt) cache ~file:1 ~size:0 ~off:(key * bs) ~len:bs)
+          subset;
+      Bc.check_invariants cache;
+      Bc.tick cache ~now:(!now +. 50.0);
+      Bc.check_invariants cache;
+      all_ok
+      && written () = order (Hashtbl.mem dirty)
+      && Bc.dirty_blocks cache = 0)
+
+(* [tick] cleans expired files in the fold order of the table of dirty
+   files.  A crash empties that table but, like removing every entry,
+   keeps its grown bucket array, so the order after a crash is that of a
+   [Hashtbl] that once held every file dirty before it. *)
+let test_tick_order_survives_crash () =
+  let cache, log = make_cache ~capacity:1024 () in
+  let mirror = Hashtbl.create 64 in
+  for file = 1 to 300 do
+    write ~now:0.0 cache ~file ~size:0 ~off:0 ~len:bs;
+    Hashtbl.replace mirror file ()
+  done;
+  ignore (Bc.crash cache ~now:1.0);
+  Hashtbl.clear mirror;
+  for file = 1 to 40 do
+    let file = 1 + (file * 37 mod 300) in
+    write ~now:2.0 cache ~file ~size:0 ~off:0 ~len:bs;
+    Hashtbl.replace mirror file ()
+  done;
+  Bc.tick cache ~now:40.0;
+  let expected = Hashtbl.fold (fun file () acc -> file :: acc) mirror [] in
+  let written = List.rev_map (fun (file, _, _, _) -> file) log.writebacks in
+  Alcotest.(check (list int)) "files in the dirty table's order" expected written
 
 (* -- hot path allocation and isolation ------------------------------------------ *)
 
@@ -707,6 +846,8 @@ let qcheck_tests =
       prop_reads_conserve_bytes;
       prop_writeback_bounded_by_written;
       prop_matches_reference_model;
+      prop_matches_reference_model_large;
+      prop_index_order_matches_hashtbl;
     ]
 
 let suite =
@@ -738,6 +879,7 @@ let suite =
     ("shrink flushes dirty to VM", `Quick, test_shrink_flushes_dirty_to_vm);
     ("capacity floor", `Quick, test_capacity_floor);
     ("resident bytes", `Quick, test_resident_bytes);
+    ("tick order survives a crash", `Quick, test_tick_order_survives_crash);
     ("read hits allocate nothing", `Quick, test_read_hits_allocate_nothing);
     ("caches on two domains share no state", `Quick, test_caches_share_no_state);
   ]

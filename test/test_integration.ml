@@ -171,6 +171,48 @@ let test_paper_constants_sane () =
   Alcotest.(check bool) "reads dominate" true
     (Dfs_core.Paper.t5_reads_pct > Dfs_core.Paper.t5_writes_pct)
 
+(* With faults off, every byte a client cache writes back reaches a server
+   as file-data writes, and every byte it fetches (read misses and write
+   fetches) leaves a server as file-data or cached-paging reads.  A lost or
+   duplicated writeback breaks the first identity. *)
+let cache_server_conservation name c =
+  let module T = Dfs_sim.Traffic in
+  let sum f =
+    Array.fold_left
+      (fun acc cl -> acc + f (Bc.stats (Dfs_sim.Client.cache cl)))
+      0 (Cluster.clients c)
+  in
+  let server = Cluster.total_server_traffic c in
+  let written = sum (fun s -> s.writeback_bytes) in
+  Alcotest.(check int)
+    (name ^ ": writeback bytes = server file-data writes")
+    written
+    (T.write_bytes server T.File_data);
+  Alcotest.(check int)
+    (name ^ ": fetched bytes = server file-data + cached-paging reads")
+    (sum (fun s -> s.all.bytes_fetched + s.all.write_fetch_bytes))
+    (T.read_bytes server T.File_data + T.read_bytes server T.Paging_cached);
+  written
+
+let test_cache_server_conservation () =
+  let presets =
+    List.map
+      (fun (p : Dfs_workload.Presets.preset) ->
+        let p = Dfs_workload.Presets.scaled p ~factor:0.005 in
+        let cluster, _ = Dfs_workload.Presets.run ~quiet:true p in
+        cache_server_conservation p.name cluster)
+      (Dfs_workload.Presets.all ())
+  in
+  Alcotest.(check bool) "the presets write back" true (List.fold_left ( + ) 0 presets > 0);
+  match Dfs_ingest.Import.of_csv_file "../examples/sample_block_trace.csv" with
+  | Error e -> Alcotest.failf "import: %s" e
+  | Ok (records, _) -> (
+    match Dfs_workload.Replay.run (B.of_list records) with
+    | Error e -> Alcotest.failf "replay: %s" e
+    | Ok (cluster, _) ->
+      let written = cache_server_conservation "sample replay" cluster in
+      Alcotest.(check bool) "the sample replay writes back" true (written > 0))
+
 let suite =
   [
     ("trace nonempty and sorted", `Slow, test_trace_nonempty_and_sorted);
@@ -178,6 +220,7 @@ let suite =
     ("cache invariants after run", `Slow, test_cache_invariants_hold_after_run);
     ("server bytes bounded by raw", `Slow, test_server_bytes_bounded_by_raw);
     ("hits plus misses conserve", `Slow, test_hits_plus_misses);
+    ("cache and server bytes conserve", `Slow, test_cache_server_conservation);
     ("counters sampled", `Slow, test_counters_sampled);
     ("consistency replay vs live", `Slow, test_consistency_actions_only_under_multiclient);
     ("trace files roundtrip + reanalyze", `Slow, test_write_trace_files_and_reanalyze);

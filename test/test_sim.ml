@@ -256,6 +256,46 @@ let make_rig ?(n_clients = 2) () =
     clients;
   { engine; fs; server; clients; log }
 
+(* [fsync] charges the write-through at the network the client was given,
+   not the default one: one RPC latency per block plus the bytes at the
+   bandwidth. *)
+let test_fsync_uses_cluster_network () =
+  let elapsed network_config =
+    let engine = Engine.create () in
+    let fs = Fs_state.create ~n_servers:1 ~rng:(Dfs_util.Rng.create 7) () in
+    let server =
+      Server.create ~id:(Ids.Server.of_int 0) ~config:Server.default_config ~fs
+        ~network:(Network.create ~config:network_config ())
+        ~log:ignore ()
+    in
+    let c =
+      Client.create ~engine ~id:(Ids.Client.of_int 0) ~fs
+        ~server_of:(fun _ -> server)
+        ~paging_server:server ~network_config ()
+    in
+    let took = ref nan in
+    Engine.spawn engine (fun () ->
+        let info = Fs_state.create_file fs ~now:0.0 () in
+        let cred =
+          Cred.make ~user:(Ids.User.of_int 0) ~pid:(Ids.Process.of_int 100)
+            ~client:(Client.id c) ~migrated:false
+        in
+        let fd = Client.open_file c ~cred ~info ~mode:Record.Write_only ~created:true in
+        ignore (Client.write c fd ~len:(2 * Dfs_util.Units.block_size));
+        let t0 = Engine.now engine in
+        Client.fsync c fd;
+        took := Engine.now engine -. t0);
+    Engine.run_until engine 1000.0;
+    !took
+  in
+  let slow = { Network.default_config with bandwidth = 8192.0; rpc_latency = 0.25 } in
+  let expected =
+    (2.0 *. 0.25) +. 1.0 +. Client.default_config.syscall_overhead
+  in
+  Alcotest.(check (float 1e-9)) "slow network" expected (elapsed slow);
+  Alcotest.(check bool) "default network is faster" true
+    (elapsed Network.default_config < expected /. 10.0)
+
 let cred rig i =
   Cred.make
     ~user:(Ids.User.of_int i)
@@ -553,6 +593,7 @@ let suite =
     ("fs_state server weights", `Quick, test_fs_state_server_weights);
     ("client read/write roundtrip", `Quick, test_client_read_write_roundtrip);
     ("client seek logged", `Quick, test_client_seek_logged);
+    ("fsync uses the cluster network", `Quick, test_fsync_uses_cluster_network);
     ("close carries totals", `Quick, test_close_carries_totals);
     ("recall on cross-client open", `Quick, test_recall_on_cross_client_open);
     ("no recall for same client", `Quick, test_no_recall_same_client);
