@@ -13,20 +13,70 @@ type report = {
   peak_total_throughput : float;
 }
 
-(* [batches] must be replayable: the analysis makes one pass to find the
-   time span, then a second for the bucket folds. *)
-let analyze_seq ?(migrated_only = false) ~interval batches =
-  (* time span; [t0] is the first record's time, as before *)
-  let t0 = ref nan and t_end = ref neg_infinity in
-  Seq.iter
-    (fun batch ->
-      let n = B.length batch in
-      if n > 0 && Float.is_nan !t0 then t0 := B.time batch 0;
-      for i = 0 to n - 1 do
-        t_end := Float.max !t_end (B.Unsafe.time batch i)
-      done)
-    batches;
-  if Float.is_nan !t0 then
+type span = { mutable t0 : float; mutable t_end : float }
+
+type acc = {
+  migrated_only : bool;
+  interval : float;
+  span : span;  (** all-float record: updates do not allocate *)
+  bytes_tbl : (int * int, int ref) Hashtbl.t;  (** (bucket, user) -> bytes *)
+  active_tbl : (int, Ids.User.Set.t ref) Hashtbl.t;
+      (** bucket -> active user set *)
+}
+
+let create ?(migrated_only = false) ~interval () =
+  {
+    migrated_only;
+    interval;
+    span = { t0 = nan; t_end = neg_infinity };
+    bytes_tbl = Hashtbl.create 4096;
+    active_tbl = Hashtbl.create 1024;
+  }
+
+(* [t0] is the first record's time.  The last bucket needs [t_end], but
+   no bucket index does: float subtraction and division are monotone, so
+   [time <= t_end] gives [bucket time <= bucket t_end = n_buckets - 1]
+   and a clamp to the last bucket would never bind. *)
+let bucket acc time = int_of_float ((time -. acc.span.t0) /. acc.interval)
+
+let relevant acc migrated = (not acc.migrated_only) || migrated
+
+(* [Hashtbl.find] rather than [find_opt]: a hit, the common case,
+   allocates no option *)
+let add_bytes acc b user n =
+  let key = (b, Ids.User.to_int user) in
+  match Hashtbl.find acc.bytes_tbl key with
+  | r -> r := !r + n
+  | exception Not_found -> Hashtbl.replace acc.bytes_tbl key (ref n)
+
+let record acc batch i =
+  (* the first read is bounds-checked and validates [i] *)
+  let time = B.time batch i in
+  let span = acc.span in
+  if Float.is_nan span.t0 then span.t0 <- time;
+  span.t_end <- Float.max span.t_end time;
+  if relevant acc (B.Unsafe.migrated batch i) then begin
+    let user = B.Unsafe.user_id batch i and b = bucket acc time in
+    (match Hashtbl.find acc.active_tbl b with
+    | s -> s := Ids.User.Set.add user !s
+    | exception Not_found ->
+      Hashtbl.replace acc.active_tbl b (ref (Ids.User.Set.singleton user)));
+    (* shared (pass-through) transfers carry their size directly: the
+       length for shared reads/writes (payload column b), the byte count
+       for directory reads (column a) *)
+    let tag = B.Unsafe.tag batch i in
+    if tag = B.tag_shared_read || tag = B.tag_shared_write then
+      add_bytes acc b user (B.Unsafe.b batch i)
+    else if tag = B.tag_dir_read then add_bytes acc b user (B.Unsafe.a batch i)
+  end
+
+let boundary acc ~user ~migrated ~is_dir time run =
+  if relevant acc migrated && not is_dir then
+    add_bytes acc (bucket acc time) user run
+
+let finish acc =
+  let interval = acc.interval in
+  if Float.is_nan acc.span.t0 then
     {
       interval;
       avg_active_users = 0.0;
@@ -38,52 +88,12 @@ let analyze_seq ?(migrated_only = false) ~interval batches =
       peak_total_throughput = 0.0;
     }
   else begin
-    let t0 = !t0 in
-    let t_end = Float.max !t_end t0 in
+    let t0 = acc.span.t0 in
+    let t_end = Float.max acc.span.t_end t0 in
     let n_buckets =
       max 1 (1 + int_of_float ((t_end -. t0) /. interval))
     in
-    let bucket time =
-      min (n_buckets - 1) (int_of_float ((time -. t0) /. interval))
-    in
-    (* (bucket, user) -> bytes; bucket -> active user set *)
-    let bytes_tbl : (int * int, int ref) Hashtbl.t = Hashtbl.create 4096 in
-    let active_tbl : (int, Ids.User.Set.t ref) Hashtbl.t =
-      Hashtbl.create 1024
-    in
-    let mark_active b user =
-      match Hashtbl.find_opt active_tbl b with
-      | Some s -> s := Ids.User.Set.add user !s
-      | None -> Hashtbl.replace active_tbl b (ref (Ids.User.Set.singleton user))
-    in
-    let add_bytes b user n =
-      let key = (b, Ids.User.to_int user) in
-      match Hashtbl.find_opt bytes_tbl key with
-      | Some r -> r := !r + n
-      | None -> Hashtbl.replace bytes_tbl key (ref n)
-    in
-    let relevant (migrated : bool) = (not migrated_only) || migrated in
-    Seq.iter
-      (fun batch ->
-        for i = 0 to B.length batch - 1 do
-          if relevant (B.Unsafe.migrated batch i) then begin
-            let time = B.Unsafe.time batch i
-            and user = B.Unsafe.user_id batch i in
-            mark_active (bucket time) user;
-            (* shared (pass-through) transfers carry their size directly:
-               the length for shared reads/writes (payload column b), the
-               byte count for directory reads (column a) *)
-            let tag = B.Unsafe.tag batch i in
-            if tag = B.tag_shared_read || tag = B.tag_shared_write then
-              add_bytes (bucket time) user (B.Unsafe.b batch i)
-            else if tag = B.tag_dir_read then
-              add_bytes (bucket time) user (B.Unsafe.a batch i)
-          end
-        done)
-      batches;
-    Session.run_boundaries_seq batches ~f:(fun a time run ->
-        if relevant a.a_migrated && not a.a_is_dir then
-          add_bytes (bucket time) a.a_user run);
+    let bytes_tbl = acc.bytes_tbl and active_tbl = acc.active_tbl in
     (* active-user statistics over every interval, empty ones included *)
     let users_stats = Dfs_util.Stats.create () in
     let max_active = ref 0 in
@@ -138,10 +148,17 @@ let analyze_seq ?(migrated_only = false) ~interval batches =
     }
   end
 
+(* A replayable sequence is swept once: the run boundaries come from the
+   same session scan as the records. *)
+let analyze_seq ?migrated_only ~interval batches =
+  let acc = create ?migrated_only ~interval () in
+  Session.scan_seq batches ~on_record:(record acc) ~on_boundary:(boundary acc);
+  finish acc
+
 let analyze ?migrated_only ~interval batch =
   analyze_seq ?migrated_only ~interval (Seq.return batch)
 
-let pp ppf r =
+let pp ppf (r : report) =
   Format.fprintf ppf
     "@[<v>interval %.0fs: active users avg %.1f (sd %.1f) max %d;@ \
      throughput/user avg %.2f KB/s (sd %.2f) peak %.0f KB/s; peak total \

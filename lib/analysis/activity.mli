@@ -31,8 +31,31 @@ val analyze_seq :
   interval:float ->
   Dfs_trace.Record_batch.t Seq.t ->
   report
-(** {!analyze} over a chunked trace.  The sequence must be replayable
-    (e.g. {!Dfs_trace.Sink.to_seq}): the analysis traverses it once for
-    the time span and again for the interval folds. *)
+(** {!analyze} over a chunked trace, in one pass. *)
+
+(** {1 Accumulator}
+
+    The incremental form behind {!analyze}, for callers that feed one
+    {!Session.scan_seq} into several analyses: pass every record to
+    {!record} and every run boundary to {!boundary}, in trace order,
+    then read the report with {!finish}. *)
+
+type acc
+
+val create : ?migrated_only:bool -> interval:float -> unit -> acc
+
+val record : acc -> Dfs_trace.Record_batch.t -> int -> unit
+
+val boundary :
+  acc ->
+  user:Dfs_trace.Ids.User.t ->
+  migrated:bool ->
+  is_dir:bool ->
+  float ->
+  int ->
+  unit
+(** Has the type of {!Session.scan_seq}'s [on_boundary]. *)
+
+val finish : acc -> report
 
 val pp : Format.formatter -> report -> unit

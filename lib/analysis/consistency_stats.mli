@@ -20,6 +20,19 @@ val analyze_seq : Dfs_trace.Record_batch.t Seq.t -> t
 (** {!analyze} over a chunked trace; replay state persists across chunk
     boundaries. *)
 
+(** {1 Accumulator}
+
+    The incremental form behind {!analyze}: pass every record to
+    {!record} in trace order, then read the counts with {!finish}. *)
+
+type acc
+
+val create : unit -> acc
+
+val record : acc -> Dfs_trace.Record_batch.t -> int -> unit
+
+val finish : acc -> t
+
 val sharing_pct : t -> float
 
 val recall_pct : t -> float

@@ -173,20 +173,26 @@ let scan_shard_seq batches ~shard ~nshards ~on_record ~on_boundary ~on_close =
       base := !base + n)
     batches
 
-let scan_seq batches ~on_record ~on_boundary ~on_close =
+(* The boundary callback gets the handle's flags, not a partial access:
+   building one per boundary would copy the runs so far, O(k^2) words
+   for an access with k runs. *)
+let scan_seq batches ~on_record ~on_boundary =
   scan_shard_seq batches ~shard:0 ~nshards:1
     ~on_record:(fun ~gidx:_ batch i -> on_record batch i)
-    ~on_boundary
-    ~on_close:(fun ~gidx:_ p time ~size ~bytes_read ~bytes_written ->
-      on_close p time ~size ~bytes_read ~bytes_written)
+    ~on_boundary:(fun p time run ->
+      on_boundary ~user:p.p_user ~migrated:p.p_migrated ~is_dir:p.p_is_dir
+        time run)
+    ~on_close:(fun ~gidx:_ _ _ ~size:_ ~bytes_read:_ ~bytes_written:_ -> ())
 
 let no_record _ _ = ()
 
 let no_boundary _ _ _ = ()
 
 let sweep_seq batches ~on_record ~on_access =
-  scan_seq batches ~on_record ~on_boundary:no_boundary
-    ~on_close:(fun p time ~size ~bytes_read ~bytes_written ->
+  scan_shard_seq batches ~shard:0 ~nshards:1
+    ~on_record:(fun ~gidx:_ batch i -> on_record batch i)
+    ~on_boundary:no_boundary
+    ~on_close:(fun ~gidx:_ p time ~size ~bytes_read ~bytes_written ->
       on_access (finish p time ~size ~bytes_read ~bytes_written))
 
 let sweep_shard_seq batches ~shard ~nshards ~on_record ~on_access =
@@ -203,13 +209,3 @@ let of_seq batches =
   List.rev !acc
 
 let of_batch batch = of_seq (Seq.return batch)
-
-let run_boundaries_seq batches ~f =
-  scan_seq batches ~on_record:no_record
-    ~on_boundary:(fun p time run ->
-      (* expose the in-progress access; totals are placeholders *)
-      let partial =
-        finish p time ~size:p.p_size_open ~bytes_read:0 ~bytes_written:0
-      in
-      f partial time run)
-    ~on_close:(fun _ _ ~size:_ ~bytes_read:_ ~bytes_written:_ -> ())

@@ -85,12 +85,20 @@ val sweep_shard_seq :
     k-way merged back into the exact unsharded order.
     [sweep_shard_seq ~shard:0 ~nshards:1] visits everything. *)
 
-val run_boundaries_seq :
+val scan_seq :
   Dfs_trace.Record_batch.t Seq.t ->
-  f:(access -> float -> int -> unit) ->
+  on_record:(Dfs_trace.Record_batch.t -> int -> unit) ->
+  on_boundary:
+    (user:Dfs_trace.Ids.User.t ->
+    migrated:bool ->
+    is_dir:bool ->
+    float ->
+    int ->
+    unit) ->
   unit
 (** Lower-level interface for interval analyses over a chunked trace:
-    invokes [f access time run_bytes] at each run boundary (reposition
-    or close), attributing the run's bytes at the moment they are known.
-    [access] is the in-progress access (its totals may be incomplete at
-    callback time). *)
+    [on_record batch i] fires for every record index in order, and
+    [on_boundary ~user ~migrated ~is_dir time run_bytes] at each run
+    boundary (reposition or close), attributing the run's bytes at the
+    moment they are known.  The flags are those of the handle's open.
+    Builds no access records. *)

@@ -32,6 +32,19 @@ val simulate_seq :
 (** {!simulate} over a chunked trace; cache state persists across chunk
     boundaries. *)
 
+(** {1 Accumulator}
+
+    The incremental form behind {!simulate}: pass every record to
+    {!record} in trace order, then read the report with {!finish}. *)
+
+type acc
+
+val create : interval:float -> acc
+
+val record : acc -> Dfs_trace.Record_batch.t -> int -> unit
+
+val finish : acc -> report
+
 val pct_users_affected : report -> float
 
 val pct_opens_with_error : report -> float

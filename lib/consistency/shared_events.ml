@@ -1,5 +1,6 @@
 module Record = Dfs_trace.Record
 module Ids = Dfs_trace.Ids
+module B = Dfs_trace.Record_batch
 
 type event =
   | Open of { client : int; writer : bool }
@@ -20,21 +21,19 @@ let is_writer = function
   | Record.Write_only | Record.Read_write -> true
   | Record.Read_only -> false
 
+type shared_files = { mutable set : Ids.File.Set.t }
+
+let shared_files_create () = { set = Ids.File.Set.empty }
+
+let shared_files_record acc batch i =
+  let tag = B.tag batch i in
+  if tag = B.tag_shared_read || tag = B.tag_shared_write then
+    acc.set <- Ids.File.Set.add (B.file_id batch i) acc.set
+
 (* The close record does not carry the open mode; recover it from the
-   handle's matching open, tracked per (client, pid, file).
-   [batches] must be replayable: one pass collects the write-shared
-   files, a second extracts their events. *)
-let extract_seq batches =
-  let module B = Dfs_trace.Record_batch in
-  let shared_files = ref Ids.File.Set.empty in
-  Seq.iter
-    (fun batch ->
-      for i = 0 to B.length batch - 1 do
-        let tag = B.tag batch i in
-        if tag = B.tag_shared_read || tag = B.tag_shared_write then
-          shared_files := Ids.File.Set.add (B.file_id batch i) !shared_files
-      done)
-    batches;
+   handle's matching open, tracked per (client, pid, file). *)
+let extract_shared_seq acc batches =
+  let shared_files = acc.set in
   let handle_modes : (int * int * int, Record.open_mode list ref) Hashtbl.t =
     Hashtbl.create 256
   in
@@ -53,7 +52,7 @@ let extract_seq batches =
     l := { time = B.time batch i; ev } :: !l
   in
   for i = 0 to B.length batch - 1 do
-    if Ids.File.Set.mem (B.file_id batch i) !shared_files then begin
+    if Ids.File.Set.mem (B.file_id batch i) shared_files then begin
       let client = B.client batch i in
       let tag = B.tag batch i in
       if tag = B.tag_open then begin
@@ -99,6 +98,18 @@ let extract_seq batches =
       { file; events; requested_bytes; requests } :: acc)
     per_file []
   |> List.sort (fun a b -> Ids.File.compare a.file b.file)
+
+(* one pass collects the write-shared files, a second extracts their
+   events *)
+let extract_seq batches =
+  let acc = shared_files_create () in
+  Seq.iter
+    (fun batch ->
+      for i = 0 to B.length batch - 1 do
+        shared_files_record acc batch i
+      done)
+    batches;
+  extract_shared_seq acc batches
 
 let extract batch = extract_seq (Seq.return batch)
 

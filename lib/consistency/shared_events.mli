@@ -30,6 +30,24 @@ val extract_seq : Dfs_trace.Record_batch.t Seq.t -> stream list
 (** {!extract} over a chunked trace.  The sequence must be replayable
     (e.g. {!Dfs_trace.Sink.to_seq}): extraction traverses it twice. *)
 
+(** {1 Accumulator}
+
+    {!extract_seq} split at its two passes, for callers that already
+    sweep the trace: pass every record to {!shared_files_record} in
+    trace order, then extract with {!extract_shared_seq}. *)
+
+type shared_files
+(** The set of files with at least one shared read/write record. *)
+
+val shared_files_create : unit -> shared_files
+
+val shared_files_record :
+  shared_files -> Dfs_trace.Record_batch.t -> int -> unit
+
+val extract_shared_seq :
+  shared_files -> Dfs_trace.Record_batch.t Seq.t -> stream list
+(** The second pass: the streams of the files collected so far. *)
+
 val total_requested : stream list -> int
 
 val total_requests : stream list -> int

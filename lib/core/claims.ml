@@ -28,8 +28,7 @@ let mean = function
 let per_trace (ds : Dataset.t) f = List.map (fun r -> f r) ds.runs
 
 let activity ?(migrated_only = false) ~interval ds =
-  per_trace ds (fun r ->
-      A.Activity.analyze_seq ~migrated_only ~interval (Dataset.trace_seq r))
+  per_trace ds (fun r -> Dataset.activity r ~migrated_only ~interval)
 
 let avg_tput ?migrated_only ~interval ds =
   mean
@@ -54,8 +53,7 @@ let server_traffic (ds : Dataset.t) =
       Dfs_sim.Traffic.merge acc (Dfs_sim.Cluster.total_server_traffic r.cluster))
     (Dfs_sim.Traffic.create ()) ds.runs
 
-let polling ~interval ds =
-  per_trace ds (fun r -> C.Polling.simulate_seq ~interval (Dataset.trace_seq r))
+let polling ~interval ds = per_trace ds (fun r -> Dataset.polling r ~interval)
 
 (* -- the claims ------------------------------------------------------------- *)
 
@@ -323,8 +321,7 @@ let all =
         (fun ds ->
           mean
             (per_trace ds (fun r ->
-                 A.Consistency_stats.sharing_pct
-                   (A.Consistency_stats.analyze_seq (Dataset.trace_seq r)))));
+                 A.Consistency_stats.sharing_pct (Dataset.consistency r))));
     };
     {
       c_id = "recall-rate";
@@ -340,8 +337,7 @@ let all =
         (fun ds ->
           mean
             (per_trace ds (fun r ->
-                 A.Consistency_stats.recall_pct
-                   (A.Consistency_stats.analyze_seq (Dataset.trace_seq r)))));
+                 A.Consistency_stats.recall_pct (Dataset.consistency r))));
     };
     {
       c_id = "polling-users-affected";
@@ -393,7 +389,7 @@ let all =
           let ratios =
             List.filter_map
               (fun (r : Dataset.run) ->
-                let streams = C.Shared_events.extract_seq (Dataset.trace_seq r) in
+                let streams = Dataset.shared_streams r in
                 let d = C.Shared_events.total_requested streams in
                 if d = 0 then None
                 else

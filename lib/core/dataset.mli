@@ -10,7 +10,7 @@
     result is byte-identical whatever the job count. *)
 
 type memo
-(** Per-run cache of derived analysis results; see {!fused}. *)
+(** Per-run cache of analysis results; see {!fused} and {!activity}. *)
 
 type run = {
   preset : Dfs_workload.Presets.preset;
@@ -72,11 +72,13 @@ val default_spill_dir : unit -> string option
 
 val trace_seq : run -> Dfs_trace.Record_batch.t Seq.t
 (** The run's merged trace as a replayable chunk stream (at most one
-    chunk forced at a time). *)
+    chunk forced at a time).  Each traversal bumps the
+    [analysis.trace_sweeps] counter. *)
 
 val batch : run -> Dfs_trace.Record_batch.t
 (** The merged trace materialized as one contiguous batch.  Allocates
-    the whole trace; prefer {!trace_seq} for large runs. *)
+    the whole trace; prefer {!trace_seq} for large runs.  Bumps
+    [analysis.trace_sweeps]. *)
 
 val fused : run -> Dfs_analysis.Fused.t
 (** The run's fused single-pass analysis (trace stats, size/open-time/
@@ -90,6 +92,39 @@ val fused : run -> Dfs_analysis.Fused.t
 
 val sessions : run -> Dfs_analysis.Session.access list
 (** The access reconstruction from {!fused}. *)
+
+(** {1 Derived analyses}
+
+    The record-level analyses outside {!fused} share one memoized
+    sequential sweep per run: a {!Dfs_analysis.Session.scan_seq} feeding
+    every accumulator below, then {!Dfs_consistency.Shared_events}'
+    filtered second pass.  The first accessor called on a run computes
+    all of them (profiler span [analysis.derived.<preset>]); like
+    {!fused} they are safe to call from several domains and return
+    physically equal results.  With {!fused} that makes three trace
+    sweeps per run, counted by [analysis.trace_sweeps]. *)
+
+val activity_intervals : float list
+(** [[600.; 10.]]: Table 2's steady-state and burst intervals. *)
+
+val polling_intervals : float list
+(** [[60.; 3.]]: Table 11's polling intervals. *)
+
+val activity :
+  run -> migrated_only:bool -> interval:float -> Dfs_analysis.Activity.report
+(** {!Dfs_analysis.Activity.analyze_seq} of the run's trace.  Raises
+    [Invalid_argument] unless [interval] is one of
+    {!activity_intervals}: another interval would need another sweep. *)
+
+val polling : run -> interval:float -> Dfs_consistency.Polling.report
+(** {!Dfs_consistency.Polling.simulate_seq} of the run's trace.  Raises
+    [Invalid_argument] unless [interval] is one of {!polling_intervals}. *)
+
+val consistency : run -> Dfs_analysis.Consistency_stats.t
+(** {!Dfs_analysis.Consistency_stats.analyze_seq} of the run's trace. *)
+
+val shared_streams : run -> Dfs_consistency.Shared_events.stream list
+(** {!Dfs_consistency.Shared_events.extract_seq} of the run's trace. *)
 
 val client_cache_stats : run -> Dfs_cache.Block_cache.stats list
 

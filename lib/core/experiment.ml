@@ -111,8 +111,7 @@ let table1 =
 let table2 =
   let run (ds : Dataset.t) =
     let analyze ~migrated_only ~interval =
-      per_trace ds (fun r ->
-          A.Activity.analyze_seq ~migrated_only ~interval (Dataset.trace_seq r))
+      per_trace ds (fun r -> Dataset.activity r ~migrated_only ~interval)
     in
     let render ~label ~interval ~(paper_all : Paper.activity_col)
         ~(paper_mig : Paper.activity_col) ~bsd_users ~bsd_tput =
@@ -862,7 +861,7 @@ let table9 =
 
 let table10 =
   let run (ds : Dataset.t) =
-    let reports = per_trace ds (fun r -> A.Consistency_stats.analyze_seq (Dataset.trace_seq r)) in
+    let reports = per_trace ds Dataset.consistency in
     let sharing = List.map A.Consistency_stats.sharing_pct reports in
     let recall = List.map A.Consistency_stats.recall_pct reports in
     let tbl =
@@ -905,9 +904,7 @@ let table10 =
 let table11 =
   let run (ds : Dataset.t) =
     let render ~interval ~(paper : Paper.t11_col) =
-      let reports =
-        per_trace ds (fun r -> C.Polling.simulate_seq ~interval (Dataset.trace_seq r))
-      in
+      let reports = per_trace ds (fun r -> Dataset.polling r ~interval) in
       let all_affected =
         List.fold_left
           (fun acc (r : C.Polling.report) ->
@@ -991,7 +988,7 @@ let table12 =
     let per =
       List.filter_map
         (fun (r : Dataset.run) ->
-          let streams = C.Shared_events.extract_seq (Dataset.trace_seq r) in
+          let streams = Dataset.shared_streams r in
           let demand_bytes = C.Shared_events.total_requested streams in
           let demand_requests = C.Shared_events.total_requests streams in
           (* short scaled traces can have no write-sharing at all; they

@@ -365,6 +365,250 @@ let test_is_partial_block () =
   Alcotest.(check bool) "tail of long write partial" true
     (Overhead.is_partial_block ~off:0 ~len:(bs + 10) ~index:1)
 
+(* -- reference models ------------------------------------------------------------------ *)
+
+(* Random shared-access streams: at most 4 clients and 4 files (file 0
+   the busiest, file 3 a directory), two pids per client, unmatched
+   closes included.  Gaps are half-second multiples, short steps mixed
+   with long pauses, so both the 3 s and the 60 s validity windows
+   expire, hold, and end exactly on a read. *)
+let gen_stream =
+  QCheck.Gen.(
+    let gen_kind file =
+      let is_dir = file = 3 in
+      frequency
+        [
+          ( 4,
+            let* mode = oneofl [ Record.Read_only; Record.Write_only; Record.Read_write ] in
+            let* size = int_bound 3000 in
+            return (Record.Open { mode; created = false; is_dir; size; start_pos = 0 }) );
+          ( 4,
+            let* bytes_written = oneofl [ 0; 0; 100 ] in
+            let* bytes_read = oneofl [ 0; 50 ] in
+            return
+              (Record.Close { size = 100; final_pos = 100; bytes_read; bytes_written }) );
+          ( 2,
+            let* offset = int_bound 8192 in
+            let* length = int_range 1 500 in
+            return (Record.Shared_read { offset; length }) );
+          ( 2,
+            let* offset = int_bound 8192 in
+            let* length = int_range 1 500 in
+            return (Record.Shared_write { offset; length }) );
+          (2, return (Record.Delete { size = 0; is_dir }));
+          ( 1,
+            let* pos_before = int_bound 4096 in
+            let* pos_after = int_bound 4096 in
+            return (Record.Reposition { pos_before; pos_after }) );
+          ( 1,
+            let* bytes = int_bound 2048 in
+            return (Record.Dir_read { bytes }) );
+        ]
+    in
+    let gen_step =
+      let* half_seconds =
+        frequency [ (1, oneofl [ 0; 6; 120 ]); (3, int_bound 4); (2, int_bound 160) ]
+      in
+      let gap = 0.5 *. float_of_int half_seconds in
+      let* client = int_bound 3 in
+      let* pid = int_bound 1 in
+      let* user = int_bound 2 in
+      let* migrated = frequency [ (3, return false); (1, return true) ] in
+      let* file = frequency [ (4, return 0); (2, return 1); (1, return 2); (1, return 3) ] in
+      let* kind = gen_kind file in
+      return (gap, fun time -> mk ~time ~client ~user ~pid:((2 * client) + pid) ~migrated ~file kind)
+    in
+    let* steps = list_size (int_bound 80) gen_step in
+    let _, rev =
+      List.fold_left (fun (t, acc) (gap, mk) -> (t +. gap, mk (t +. gap) :: acc)) (0.0, []) steps
+    in
+    return (List.rev rev))
+
+let print_stream rs = String.concat "\n" (List.map (Format.asprintf "%a" Record.pp) rs)
+
+let arb_stream = QCheck.make ~print:print_stream gen_stream
+
+let fid (r : Record.t) = Ids.File.to_int r.file
+let cid (r : Record.t) = Ids.Client.to_int r.client
+
+let is_open_of_file (r : Record.t) =
+  match r.kind with Record.Open { is_dir = false; _ } -> true | _ -> false
+
+let is_delete (r : Record.t) = match r.kind with Record.Delete _ -> true | _ -> false
+
+let bytes_written (r : Record.t) =
+  match r.kind with Record.Close { bytes_written; _ } -> bytes_written | _ -> 0
+
+let open_writes (r : Record.t) =
+  match r.kind with
+  | Record.Open { mode = Record.Write_only | Record.Read_write; _ } -> true
+  | _ -> false
+
+(* Polling, re-derived for each read from the whole history before it.
+   A file's version counts its publishes (closes that wrote, shared
+   writes) since its last delete.  A client's copy of a file is
+   validated at its first read of the file and at every read a full
+   interval after the previous validation; a read in between is stale
+   when the file moved past the version the client last saw (at the
+   validation or its own later publish) and the last writer was someone
+   else. *)
+let polling_reference ~interval (rs : Record.t list) : Polling.report =
+  let h = Array.of_list rs in
+  let n = Array.length h in
+  let is_read k =
+    match h.(k).kind with
+    | Record.Open { mode = Record.Read_only | Record.Read_write; is_dir = false; _ } -> true
+    | Record.Shared_read _ -> true
+    | _ -> false
+  in
+  let is_publish k =
+    match h.(k).kind with
+    | Record.Close { bytes_written; _ } -> bytes_written > 0
+    | Record.Shared_write _ -> true
+    | _ -> false
+  in
+  let same_copy k j = fid h.(k) = fid h.(j) && cid h.(k) = cid h.(j) in
+  (* version of [f] just after index [j] *)
+  let version f j =
+    let v = ref 0 in
+    for k = 0 to j do
+      if fid h.(k) = f then if is_delete h.(k) then v := 0 else if is_publish k then incr v
+    done;
+    !v
+  in
+  let last_writer f j =
+    let w = ref None in
+    for k = 0 to j - 1 do
+      if fid h.(k) = f then
+        if is_delete h.(k) then w := None else if is_publish k then w := Some (cid h.(k))
+    done;
+    !w
+  in
+  let validates = Array.make n false in
+  let last_validation j =
+    let v = ref None in
+    for k = 0 to j - 1 do
+      if validates.(k) && same_copy k j then v := Some k
+    done;
+    !v
+  in
+  let stale = Array.make n false in
+  for j = 0 to n - 1 do
+    if is_read j then
+      match last_validation j with
+      | None -> validates.(j) <- true
+      | Some v when h.(j).time -. h.(v).time >= interval -> validates.(j) <- true
+      | Some v ->
+        let f = fid h.(j) and c = cid h.(j) in
+        let seen = ref (version f v) in
+        for p = v + 1 to j - 1 do
+          if is_publish p && same_copy p j then seen := version f p
+        done;
+        stale.(j) <- !seen < version f (j - 1) && last_writer f j <> Some c
+  done;
+  let count p = List.length (List.filter p (List.init n Fun.id)) in
+  let users p =
+    List.fold_left
+      (fun acc k -> if p k then Ids.User.Set.add h.(k).user acc else acc)
+      Ids.User.Set.empty (List.init n Fun.id)
+  in
+  let opens k = is_open_of_file h.(k) in
+  let t_min = Array.fold_left (fun m (r : Record.t) -> Float.min m r.time) infinity h
+  and t_max = Array.fold_left (fun m (r : Record.t) -> Float.max m r.time) neg_infinity h in
+  let duration_hours = if t_max > t_min then (t_max -. t_min) /. 3600.0 else 0.0 in
+  let errors = count (fun k -> stale.(k)) in
+  let seen = users (fun _ -> true) and affected = users (fun k -> stale.(k)) in
+  {
+    interval;
+    duration_hours;
+    errors;
+    errors_per_hour =
+      (if duration_hours > 0.0 then float_of_int errors /. duration_hours else 0.0);
+    users_seen = Ids.User.Set.cardinal seen;
+    users_affected = Ids.User.Set.cardinal affected;
+    file_opens = count opens;
+    opens_with_error = count (fun k -> opens k && stale.(k));
+    migrated_opens = count (fun k -> opens k && h.(k).migrated);
+    migrated_opens_with_error = count (fun k -> opens k && h.(k).migrated && stale.(k));
+    affected_user_ids = affected;
+    seen_user_ids = seen;
+  }
+
+(* Table 10, re-derived from the whole history.  A close ends the latest
+   still-open regular-file open of its (client, pid, file) handle, if
+   any.  An open shares when, with it, the file is open on two or more
+   clients and one of the open handles writes.  An open recalls when
+   the file's latest write-close, delete or recall before it is a
+   write-close by another client. *)
+let consistency_reference (rs : Record.t list) : Dfs_analysis.Consistency_stats.t =
+  let h = Array.of_list rs in
+  let n = Array.length h in
+  let key k = (cid h.(k), Ids.Process.to_int h.(k).pid, fid h.(k)) in
+  let is_close k = match h.(k).kind with Record.Close _ -> true | _ -> false in
+  (* [ended_by.(k)]: the close that ended open [k]; [matched.(m)]: close [m] ended an open *)
+  let ended_by = Array.make n None and matched = Array.make n false in
+  for m = 0 to n - 1 do
+    if is_close m then begin
+      let found = ref None in
+      for k = 0 to m - 1 do
+        if is_open_of_file h.(k) && key k = key m && ended_by.(k) = None then found := Some k
+      done;
+      match !found with
+      | Some k ->
+        ended_by.(k) <- Some m;
+        matched.(m) <- true
+      | None -> ()
+    end
+  done;
+  let open_at j k =
+    is_open_of_file h.(k) && k <= j
+    && match ended_by.(k) with None -> true | Some m -> m > j
+  in
+  let sharing = ref 0 and recalls = ref 0 and file_opens = ref 0 in
+  let recalled = Array.make n false in
+  for j = 0 to n - 1 do
+    if is_open_of_file h.(j) then begin
+      incr file_opens;
+      let f = fid h.(j) in
+      let handles = List.filter (fun k -> open_at j k && fid h.(k) = f) (List.init (j + 1) Fun.id) in
+      let clients = List.sort_uniq compare (List.map (fun k -> cid h.(k)) handles) in
+      if List.length clients >= 2 && List.exists (fun k -> open_writes h.(k)) handles then
+        incr sharing;
+      let last = ref None in
+      for k = 0 to j - 1 do
+        if fid h.(k) = f
+           && (is_delete h.(k) || recalled.(k) || (matched.(k) && bytes_written h.(k) > 0))
+        then last := Some k
+      done;
+      match !last with
+      | Some k when matched.(k) && bytes_written h.(k) > 0 && cid h.(k) <> cid h.(j) ->
+        recalled.(j) <- true;
+        incr recalls
+      | Some _ | None -> ()
+    end
+  done;
+  { file_opens = !file_opens; sharing_opens = !sharing; recall_opens = !recalls }
+
+let strip (r : Polling.report) =
+  { r with affected_user_ids = Ids.User.Set.empty; seen_user_ids = Ids.User.Set.empty }
+
+let prop_polling_matches_reference =
+  QCheck.Test.make ~name:"polling equals its brute-force reference" ~count:2000 arb_stream
+    (fun rs ->
+      List.for_all
+        (fun interval ->
+          let got = Polling.simulate ~interval (batch rs) in
+          let want = polling_reference ~interval rs in
+          strip got = strip want
+          && Ids.User.Set.equal got.affected_user_ids want.affected_user_ids
+          && Ids.User.Set.equal got.seen_user_ids want.seen_user_ids)
+        [ 3.0; 60.0 ])
+
+let prop_consistency_matches_reference =
+  QCheck.Test.make ~name:"consistency actions equal their brute-force reference" ~count:1000
+    arb_stream (fun rs ->
+      Dfs_analysis.Consistency_stats.analyze (batch rs) = consistency_reference rs)
+
 let suite =
   [
     ("extract stream", `Quick, test_extract_stream);
@@ -386,4 +630,6 @@ let suite =
     ("polling delete resets", `Quick, test_polling_delete_resets);
     ("blocks_in_range", `Quick, test_blocks_in_range);
     ("is_partial_block", `Quick, test_is_partial_block);
+    QCheck_alcotest.to_alcotest prop_polling_matches_reference;
+    QCheck_alcotest.to_alcotest prop_consistency_matches_reference;
   ]

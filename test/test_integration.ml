@@ -213,6 +213,172 @@ let test_cache_server_conservation () =
       let written = cache_server_conservation "sample replay" cluster in
       Alcotest.(check bool) "the sample replay writes back" true (written > 0))
 
+(* -- the per-run analysis memo ---------------------------------------------------------- *)
+
+module Dataset = Dfs_core.Dataset
+module A = Dfs_analysis
+module C = Dfs_consistency
+
+(* Structural equality with floats compared by [Float.equal]: that is
+   [compare = 0].  Polling's user sets are compared as sets. *)
+let same name a b = Alcotest.(check bool) name true (compare a b = 0)
+
+let same_polling name (a : C.Polling.report) (b : C.Polling.report) =
+  let strip (r : C.Polling.report) =
+    { r with affected_user_ids = Ids.User.Set.empty; seen_user_ids = Ids.User.Set.empty }
+  in
+  same name (strip a) (strip b);
+  Alcotest.(check bool) (name ^ " affected users") true
+    (Ids.User.Set.equal a.affected_user_ids b.affected_user_ids);
+  Alcotest.(check bool) (name ^ " seen users") true
+    (Ids.User.Set.equal a.seen_user_ids b.seen_user_ids)
+
+(* Every memoized report against the standalone analysis of the run's
+   trace as one contiguous batch. *)
+let check_memo_matches_standalone (r : Dataset.run) =
+  let b = Dataset.batch r in
+  let name = r.preset.name in
+  List.iter
+    (fun interval ->
+      List.iter
+        (fun migrated_only ->
+          same
+            (Printf.sprintf "%s: activity %gs migrated_only=%b" name interval migrated_only)
+            (Dataset.activity r ~migrated_only ~interval)
+            (A.Activity.analyze ~migrated_only ~interval b))
+        [ false; true ])
+    Dataset.activity_intervals;
+  List.iter
+    (fun interval ->
+      same_polling
+        (Printf.sprintf "%s: polling %gs" name interval)
+        (Dataset.polling r ~interval)
+        (C.Polling.simulate ~interval b))
+    Dataset.polling_intervals;
+  same (name ^ ": consistency") (Dataset.consistency r) (A.Consistency_stats.analyze b);
+  same (name ^ ": shared streams") (Dataset.shared_streams r) (C.Shared_events.extract b)
+
+let with_temp_file suffix f =
+  let path = Filename.temp_file "dfs" suffix in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let write_trace path records =
+  Dfs_trace.Writer.with_file ~format:Dfs_trace.Writer.Text path (fun w ->
+      List.iter (Dfs_trace.Writer.write w) records)
+
+let rechunk ~chunk_records chunks =
+  let sink = Dfs_trace.Sink.create ~chunk_records () in
+  Dfs_trace.Sink.iter_batches
+    (fun b ->
+      for i = 0 to B.length b - 1 do
+        Dfs_trace.Sink.emit_from sink b i
+      done)
+    chunks;
+  Dfs_trace.Sink.close sink
+
+(* Chunks of 257 records, so open handles cross batch boundaries.  The
+   sample replay's trace is shorter: it is cut into chunks of 7, in a
+   copy of the run that takes over its unforced memo. *)
+let test_memo_matches_standalone () =
+  let ds = Dataset.generate ~scale:0.005 ~jobs:1 ~chunk_records:257 () in
+  Alcotest.(check int) "eight presets" 8 (List.length ds.runs);
+  List.iter check_memo_matches_standalone ds.runs;
+  match Dfs_ingest.Import.of_csv_file "../examples/sample_block_trace.csv" with
+  | Error e -> Alcotest.failf "import: %s" e
+  | Ok (records, _) ->
+    with_temp_file ".trace" (fun path ->
+        write_trace path records;
+        match Dataset.of_replay ~jobs:1 path with
+        | Error e -> Alcotest.failf "replay: %s" e
+        | Ok (ds, _) ->
+          List.iter
+            (fun (r : Dataset.run) ->
+              let r = { r with trace = rechunk ~chunk_records:7 r.trace } in
+              Alcotest.(check bool) "replay trace is chunked" true
+                (Dfs_trace.Sink.chunk_count r.trace > 2);
+              check_memo_matches_standalone r)
+            ds.runs)
+
+let trace_sweeps = Dfs_obs.Metrics.counter "analysis.trace_sweeps"
+
+let sweeps_during f =
+  let before = Dfs_obs.Metrics.value trace_sweeps in
+  let v = f () in
+  (v, Dfs_obs.Metrics.value trace_sweeps - before)
+
+(* Every experiment and every claim read the memo: the fused pass, the
+   derived scan and Shared_events' second pass are the only sweeps. *)
+let test_three_sweeps_per_run () =
+  let ds = Dataset.generate ~scale:0.004 ~traces:[ 1; 2 ] ~jobs:1 () in
+  let (), sweeps =
+    sweeps_during (fun () ->
+        List.iter (fun (e : Dfs_core.Experiment.t) -> ignore (e.run ds)) Dfs_core.Experiment.all;
+        ignore (Dfs_core.Claims.evaluate ds))
+  in
+  Alcotest.(check int) "3 trace sweeps per run" (3 * List.length ds.runs) sweeps
+
+(* Two domains force one run's memo at once: one derived computation
+   (its scan and the shared-event pass), physically shared. *)
+let test_memo_forced_from_two_domains () =
+  let ds = Dataset.generate ~scale:0.004 ~traces:[ 1 ] ~jobs:1 () in
+  let r = List.hd ds.runs in
+  let go = Atomic.make false in
+  let force () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    (Dataset.activity r ~migrated_only:false ~interval:10.0, Dataset.shared_streams r)
+  in
+  let ((a1, s1), (a2, s2)), sweeps =
+    sweeps_during (fun () ->
+        let d1 = Domain.spawn force and d2 = Domain.spawn force in
+        Atomic.set go true;
+        let x = Domain.join d1 in
+        (x, Domain.join d2))
+  in
+  Alcotest.(check bool) "same activity report" true (a1 == a2);
+  Alcotest.(check bool) "same shared streams" true (s1 == s2);
+  Alcotest.(check int) "one derived computation: 2 sweeps" 2 sweeps
+
+let test_memo_rejects_other_intervals () =
+  let ds = Dataset.generate ~scale:0.004 ~traces:[ 1 ] ~jobs:1 () in
+  let r = List.hd ds.runs in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let (), sweeps =
+    sweeps_during (fun () ->
+        Alcotest.(check bool) "activity at 60 s" true
+          (raises (fun () -> Dataset.activity r ~migrated_only:false ~interval:60.0));
+        Alcotest.(check bool) "polling at 10 s" true
+          (raises (fun () -> Dataset.polling r ~interval:10.0)))
+  in
+  Alcotest.(check int) "no sweep for a rejected interval" 0 sweeps
+
+(* The memo of a run whose trace is a random stream, cut into chunks of
+   1-7 records, against the standalone analyses of the stream.  The
+   run's fresh memo comes from a replay of a two-record donor trace. *)
+let prop_memo_matches_standalone =
+  let donor =
+    lazy
+      (let path = Filename.temp_file "dfs" ".trace" in
+       at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+       let csv = "Timestamp,Hostname,DiskNumber,Type,Offset,Size\n0,h,0,Read,0,4096\n" in
+       (match Dfs_ingest.Import.of_csv_string ~source:"donor" csv with
+       | Error e -> failwith e
+       | Ok (records, _) -> write_trace path records);
+       path)
+  in
+  QCheck.Test.make ~name:"memo equals standalone analyses on random streams" ~count:100
+    QCheck.(pair (int_range 1 7) Test_consistency.arb_stream)
+    (fun (chunk_records, rs) ->
+      let donor =
+        match Dataset.of_replay ~jobs:1 (Lazy.force donor) with
+        | Ok ({ runs = [ r ]; _ }, _) -> r
+        | Ok _ | Error _ -> failwith "donor replay"
+      in
+      let r = { donor with Dataset.trace = rechunk ~chunk_records (Dfs_trace.Sink.of_batch (B.of_list rs)) } in
+      check_memo_matches_standalone r;
+      true)
+
 let suite =
   [
     ("trace nonempty and sorted", `Slow, test_trace_nonempty_and_sorted);
@@ -228,4 +394,9 @@ let suite =
     ("experiments render", `Slow, test_experiments_render_on_tiny_dataset);
     ("claims evaluate", `Slow, test_claims_evaluate);
     ("paper constants sane", `Quick, test_paper_constants_sane);
+    ("memo equals standalone analyses", `Slow, test_memo_matches_standalone);
+    ("three trace sweeps per run", `Slow, test_three_sweeps_per_run);
+    ("memo forced from two domains", `Slow, test_memo_forced_from_two_domains);
+    ("memo rejects other intervals", `Slow, test_memo_rejects_other_intervals);
+    QCheck_alcotest.to_alcotest prop_memo_matches_standalone;
   ]
